@@ -1,7 +1,7 @@
 # Tier-1 verification in one command: vet, lint, build, race-enabled tests.
 GO ?= go
 
-.PHONY: all check build test bench lint fuzz-smoke faulttest servertest
+.PHONY: all check build test bench bench-smoke lint fuzz-smoke faulttest servertest
 
 all: check
 
@@ -50,3 +50,11 @@ test:
 
 bench:
 	$(GO) test -bench 'BenchmarkParallel|BenchmarkPreparedVsAdhoc|BenchmarkVectorizedScan|BenchmarkConcurrentReaders' -benchtime 2x -run '^$$' .
+
+# bench-smoke vets and smoke-tests the benchmark harness. bench/ is a
+# Go module of its own (it replaces repro with ../ and imports
+# internal/array, storage, bat and plan), so the root `go test ./...`
+# never compiles it: this is the target that notices an internal API
+# change breaking the benchmark build.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .

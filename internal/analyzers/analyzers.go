@@ -239,3 +239,21 @@ func isCellVisitor(t types.Type) bool {
 	}
 	return isNamedType(p1.Elem(), "value", "Value")
 }
+
+// isBatchVisitor reports whether t is the columnar scan's batch
+// visitor signature func(array.ColumnBatch) bool — the per-batch step
+// of every SELECT scan since the column-batch pipeline replaced the
+// per-cell callback there.
+func isBatchVisitor(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
+		return false
+	}
+	if b, ok := sig.Results().At(0).Type().Underlying().(*types.Basic); !ok || b.Kind() != types.Bool {
+		return false
+	}
+	return isNamedType(sig.Params().At(0).Type(), "array", "ColumnBatch")
+}

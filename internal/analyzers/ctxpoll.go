@@ -12,17 +12,19 @@ import (
 // (Ctrl-C in the REPL, a closed driver connection, a fired deadline)
 // stops the scan instead of walking millions of cells to completion.
 //
-// In internal/exec the per-cell iteration is almost never a for
-// statement — it is a store-scan visitor literal (func(coords []int64,
-// vals []value.Value) bool) handed to Store.Scan, a chunk scanner, or
-// storeScanPruned. The analyzer requires every such literal to contain
-// one of:
+// In internal/exec the chunk-scale iteration is almost never a for
+// statement — it is a visitor literal handed to the store: the column
+// batch visitor (func(array.ColumnBatch) bool) every SELECT scan runs
+// through (scanChunk is the one place that walks a columnar chunk), or
+// the per-cell visitor (func(coords []int64, vals []value.Value) bool)
+// DML, tiling and ALTER still hand to Store.Scan. The analyzer requires
+// every such literal to contain one of:
 //
-//   - a ctx.Err() / ctx.Done() call on a context.Context value
-//     (the `visited&1023 == 0` periodic-poll pattern),
+//   - a ctx.Err() / ctx.Done() call on a context.Context value (once
+//     per batch; the `visited&1023 == 0` periodic pattern per cell),
 //   - a call to Engine.canceled(), the serial interpreter's poll,
-//   - a call forwarding to another visitor value (a wrapper like the
-//     ones in storeScanPruned: its callee polls, it must not).
+//   - a call forwarding to another visitor value of the same kind (a
+//     wrapper: its callee polls, it must not).
 //
 // PR 10 extends the same convention to the network server's
 // connection read loops in internal/server/pgwire: any for-loop that
@@ -38,8 +40,8 @@ import (
 // //lint:allow ctxpoll <reason>.
 var CtxPoll = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc: "store-scan visitor literals in internal/exec must poll ctx.Err()/Done() or " +
-		"Engine.canceled() so cancellation stops chunk-scale scans; connection read " +
+	Doc: "store-scan visitor literals (per cell and per column batch) in internal/exec must " +
+		"poll ctx.Err()/Done() or Engine.canceled() so cancellation stops chunk-scale scans; connection read " +
 		"loops in internal/server/pgwire must poll a shutdown context between frames",
 	Run: runCtxPoll,
 }
@@ -57,12 +59,16 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.FuncLit)
-			if !ok || !isCellVisitor(pass.TypeOf(lit)) {
+			if !ok {
 				return true
 			}
-			if !visitorPolls(pass, lit) {
+			switch t := pass.TypeOf(lit); {
+			case isCellVisitor(t) && !visitorPolls(pass, lit):
 				pass.Reportf(lit.Pos(),
 					"store-scan visitor without a cancellation poll: check ctx.Err()/Done() or e.canceled() periodically (e.g. every visited&1023 cells)")
+			case isBatchVisitor(t) && !visitorPolls(pass, lit):
+				pass.Reportf(lit.Pos(),
+					"column-batch visitor without a cancellation poll: check ctx.Err()/Done() or e.canceled() once per batch")
 			}
 			// Nested visitors (a visitor building another scan) are
 			// still inspected independently.
@@ -173,9 +179,9 @@ func visitorPolls(pass *analysis.Pass, lit *ast.FuncLit) bool {
 			}
 			return true
 		}
-		// Forwarding wrapper: calling a value that is itself a cell
-		// visitor delegates per-cell control to a polling callee.
-		if isCellVisitor(pass.TypeOf(call.Fun)) {
+		// Forwarding wrapper: calling a value that is itself a visitor
+		// delegates control to a polling callee.
+		if t := pass.TypeOf(call.Fun); isCellVisitor(t) || isBatchVisitor(t) {
 			found = true
 			return false
 		}

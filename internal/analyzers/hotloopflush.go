@@ -31,6 +31,13 @@ import (
 // chunk (chargeBudget), and the analyzer flags Budget.Charge in
 // per-cell contexts exactly like an instrument mutation.
 //
+// The columnar scan's batch visitor (func(array.ColumnBatch) bool) is
+// deliberately not a per-cell context: a batch is up to 4096 cells, so
+// publishing counters, operator time or a budget charge once per batch
+// is the sanctioned granularity there (scanChunk and its consumers) —
+// but a loop over the batch's rows inside it is per-cell like any
+// other for statement.
+//
 // Calling a flush helper (which does the atomic adds) from a per-chunk
 // loop stays legal: the analyzer is intra-procedural by design — the
 // sanctioned pattern routes atomics through a once-per-chunk function,

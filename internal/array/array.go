@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bat"
 	"repro/internal/value"
 )
 
@@ -209,6 +210,64 @@ type ChunkScan func(visit func(coords []int64, vals []value.Value) bool)
 // pruning never changes which cells are visited.
 type ChunkedScanner interface {
 	ScanChunks(target int, attrs []int) []ChunkScan
+}
+
+// DimRange restricts one dimension of a column scan to the index
+// values Lo, Lo+Step, Lo+2*Step, ... below Hi. Full admits every value
+// (the other fields are ignored); a Step below 2 makes the range
+// contiguous, which is also how gridless (order-only) dimensions are
+// restricted.
+type DimRange struct {
+	Full         bool
+	Lo, Hi, Step int64
+}
+
+// Contains reports whether the range admits index value v.
+func (r DimRange) Contains(v int64) bool {
+	if r.Full {
+		return true
+	}
+	if v < r.Lo || v >= r.Hi {
+		return false
+	}
+	return r.Step <= 1 || (v-r.Lo)%r.Step == 0
+}
+
+// ColumnBatch is a run of live cells of one chunk, in scan order, as
+// typed columns: one Int (or Timestamp) vector per dimension holding
+// the cells' coordinates, then one vector per selected attribute — the
+// column layout of a scan result. Vectors may be zero-copy views of the
+// store's own columns, so a batch must never be written to; it stays
+// valid for as long as the store version it came from is not mutated in
+// place (the engine's copy-on-write catalog never does).
+type ColumnBatch []bat.Vector
+
+// Rows returns the number of cells in the batch.
+func (b ColumnBatch) Rows() int {
+	if len(b) == 0 {
+		return 0
+	}
+	return b[0].Len()
+}
+
+// ColumnChunk walks one chunk of a store's scan order as non-empty
+// column batches of at most max rows each; returning false from visit
+// stops the walk. Distinct chunks share no mutable state, so they may
+// run concurrently.
+type ColumnChunk func(max int, visit func(b ColumnBatch) bool)
+
+// ColumnScanner is the columnar face of a chunked store: chunk i of
+// ColumnChunks(target, attrs, restrict) covers exactly the cells chunk
+// i of ScanChunks(target, attrs) visits — and ChunkStats(target)[i]
+// describes — minus those a restriction rejects, in the same order.
+// attrs selects attribute columns as for ScanChunks (liveness is still
+// judged on all attributes); restrict holds one DimRange per dimension,
+// nil admitting everything. No value is boxed on the way: dense
+// hole-free position ranges come back as views of the stored columns
+// with the validity bitmap adopted word-wise and coordinates generated
+// arithmetically, everything else as typed gathers.
+type ColumnScanner interface {
+	ColumnChunks(target int, attrs []int, restrict []DimRange) []ColumnChunk
 }
 
 // AttrStats is the zone map of one attribute over one chunk: the

@@ -674,17 +674,31 @@ func ViewRange(v Vector, lo, hi int) Vector {
 	return v.Slice(lo, hi)
 }
 
-// anyInRange reports whether any position in [lo, hi) is marked.
+// anyInRange reports whether any position in [lo, hi) is marked. It
+// tests whole words: the first and last word of the range are masked
+// to the positions inside it, the words between compare against zero.
 func (n *nullset) anyInRange(lo, hi int) bool {
-	if len(n.bits) == 0 {
+	if max := len(n.bits) * 64; hi > max {
+		hi = max
+	}
+	if lo >= hi {
 		return false
 	}
-	for i := lo; i < hi; i++ {
-		if n.get(i) {
+	w0, w1 := lo>>6, (hi-1)>>6
+	first := ^uint64(0) << (uint(lo) & 63)
+	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if w0 == w1 {
+		return n.bits[w0]&first&last != 0
+	}
+	if n.bits[w0]&first != 0 {
+		return true
+	}
+	for _, w := range n.bits[w0+1 : w1] {
+		if w != 0 {
 			return true
 		}
 	}
-	return false
+	return n.bits[w1]&last != 0
 }
 
 // Broadcast materializes a constant as an n-element vector of type t

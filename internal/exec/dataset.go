@@ -64,6 +64,14 @@ func (d *Dataset) Append(vals []value.Value) {
 	}
 }
 
+// concat appends src's rows, column by column in bulk. d's vectors
+// must be d's own (src's may be views).
+func (d *Dataset) concat(src *Dataset) {
+	for c := range d.Vecs {
+		d.Vecs[c] = bat.Concat(d.Vecs[c], src.Vecs[c])
+	}
+}
+
 // Row returns row i as values (freshly allocated).
 func (d *Dataset) Row(i int) []value.Value {
 	out := make([]value.Value, len(d.Vecs))

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/array"
@@ -225,317 +224,6 @@ func andAll(conjs []ast.Expr) ast.Expr {
 		}
 	}
 	return out
-}
-
-// --- value-based GROUP BY ----------------------------------------------------
-
-// group is the per-key accumulator of execValueGroupBy; the parallel
-// path builds one map per worker and merges the partials.
-type group struct {
-	firstRow int
-	aggs     []*bat.AggState
-	distinct []map[string]bool
-	counts   []int64
-}
-
-func newGroup(r int, calls []*ast.FuncCall) *group {
-	g := &group{firstRow: r,
-		aggs:     make([]*bat.AggState, len(calls)),
-		distinct: make([]map[string]bool, len(calls)),
-		counts:   make([]int64, len(calls)),
-	}
-	for i, c := range calls {
-		g.aggs[i] = bat.NewAggState(c.Name)
-		if c.Distinct {
-			g.distinct[i] = make(map[string]bool)
-		}
-	}
-	return g
-}
-
-// accumulate folds row r (bound in env) into the group.
-func (e *Engine) accumulate(g *group, calls []*ast.FuncCall, env expr.Env) error {
-	for i, c := range calls {
-		if c.Star {
-			g.counts[i]++
-			continue
-		}
-		v, err := e.Ev.Eval(c.Args[0], env)
-		if err != nil {
-			return err
-		}
-		if c.Distinct {
-			k := v.String()
-			if g.distinct[i][k] {
-				continue
-			}
-			g.distinct[i][k] = true
-		}
-		g.aggs[i].Add(v)
-	}
-	return nil
-}
-
-// execValueGroupBy evaluates GROUP BY <exprs> (or a single implicit
-// group when aggregates appear without GROUP BY). With par > 1 the
-// rows are split into morsels: each worker builds partial aggregates
-// in its own hash table and the partials merge at the end, preserving
-// the serial first-encounter group order.
-func (e *Engine) execValueGroupBy(sel *ast.Select, items []ast.SelectItem, having ast.Expr, ds *Dataset, outer expr.Env, par int) (*Dataset, error) {
-	items = expandStars(items, ds.Cols)
-	ac := &aggCollector{}
-	rewritten := make([]ast.SelectItem, len(items))
-	for i, it := range items {
-		// Preserve the display name through the placeholder rewrite.
-		rewritten[i] = ast.SelectItem{Expr: rewriteAggs(it.Expr, ac), Alias: itemName(it, i), DimQual: it.DimQual}
-	}
-	var havingRw ast.Expr
-	if having != nil {
-		havingRw = rewriteAggs(having, ac)
-	}
-	var keyExprs []ast.Expr
-	if sel.GroupBy != nil {
-		keyExprs = sel.GroupBy.Exprs
-	}
-	// DISTINCT aggregates cannot merge partial states: overlapping
-	// values may have been counted by two workers. Run them serially.
-	for _, c := range ac.calls {
-		if c.Distinct {
-			par = 1
-			break
-		}
-	}
-	groups := make(map[string]*group)
-	var order []string
-	n := ds.NumRows()
-	rowKey := func(env *rowEnv) (string, error) {
-		var sb strings.Builder
-		for _, k := range keyExprs {
-			v, err := e.Ev.Eval(k, env)
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString(v.String())
-			sb.WriteByte('\x00')
-		}
-		return sb.String(), nil
-	}
-	// When every GROUP BY key and aggregate argument compiles into bulk
-	// kernels, each range evaluates them column-at-a-time and only the
-	// hash probe stays per-row; values (and so keys, group order and
-	// fold order) are identical to the interpreter.
-	keyProgs := make([]*vecProg, len(keyExprs))
-	argProgs := make([]*vecProg, len(ac.calls))
-	vecOK := true
-	for i, k := range keyExprs {
-		if p := e.vecCompile(k, ds.Cols, true); p != nil && p.validFor(ds.Vecs) {
-			keyProgs[i] = p
-		} else {
-			vecOK = false
-		}
-	}
-	for i, call := range ac.calls {
-		if call.Star {
-			continue
-		}
-		if p := e.vecCompile(call.Args[0], ds.Cols, true); p != nil && p.validFor(ds.Vecs) {
-			argProgs[i] = p
-		} else {
-			vecOK = false
-		}
-	}
-	// groupStateBytes is the budget estimate per first-encountered key:
-	// a hash map entry plus one accumulator per aggregate call.
-	groupStateBytes := int64(64 + 80*len(ac.calls))
-	// processRange folds rows [lo, hi) into wm, calling onNew for each
-	// first-encountered key; serial marks the cancellation-checking
-	// single-threaded caller. The callers charge wm's group state to the
-	// statement budget once per range (one morsel, or the whole serial
-	// fold) — the hotloopflush discipline, no atomics in the row loop.
-	processRange := func(wm map[string]*group, onNew func(string), lo, hi int, env *rowEnv, serial bool) error {
-		if vecOK {
-			var sb strings.Builder
-			keyVecs := make([]bat.Vector, len(keyProgs))
-			argVecs := make([]bat.Vector, len(argProgs))
-			for blo := lo; blo < hi; blo += vecBatchRows {
-				bhi := blo + vecBatchRows
-				if bhi > hi {
-					bhi = hi
-				}
-				if serial {
-					if err := e.canceled(); err != nil {
-						return err
-					}
-				}
-				for i, p := range keyProgs {
-					keyVecs[i] = p.eval(ds.Vecs, blo, bhi)
-				}
-				for i, p := range argProgs {
-					if p != nil {
-						argVecs[i] = p.eval(ds.Vecs, blo, bhi)
-					}
-				}
-				for r := blo; r < bhi; r++ {
-					rel := r - blo
-					sb.Reset()
-					for _, kv := range keyVecs {
-						sb.WriteString(kv.Get(rel).String())
-						sb.WriteByte('\x00')
-					}
-					key := sb.String()
-					g, ok := wm[key]
-					if !ok {
-						g = newGroup(r, ac.calls)
-						wm[key] = g
-						if onNew != nil {
-							onNew(key)
-						}
-					}
-					for i, call := range ac.calls {
-						if call.Star {
-							g.counts[i]++
-							continue
-						}
-						v := argVecs[i].Get(rel)
-						if call.Distinct {
-							k := v.String()
-							if g.distinct[i][k] {
-								continue
-							}
-							g.distinct[i][k] = true
-						}
-						g.aggs[i].Add(v)
-					}
-				}
-			}
-			return nil
-		}
-		for r := lo; r < hi; r++ {
-			if serial && r&1023 == 0 {
-				if err := e.canceled(); err != nil {
-					return err
-				}
-			}
-			env.row = r
-			key, err := rowKey(env)
-			if err != nil {
-				return err
-			}
-			g, ok := wm[key]
-			if !ok {
-				g = newGroup(r, ac.calls)
-				wm[key] = g
-				if onNew != nil {
-					onNew(key)
-				}
-			}
-			if err := e.accumulate(g, ac.calls, env); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if par > 1 && e.pool != nil && n >= 2*e.pool.Workers() {
-		// Partials are indexed by morsel (not worker) and merged in
-		// morsel order, so the grouping of float additions is a pure
-		// function of (row count, morsel size): results are
-		// deterministic run-to-run even though morsel→worker
-		// assignment races. Float SUM/AVG may still differ from the
-		// serial fold in last-bit summation order on non-integer data.
-		morsel := e.pool.MorselFor(n)
-		partials := make([]map[string]*group, (n+morsel-1)/morsel)
-		err := e.pool.ForEachCtx(e.ctx(), n, morsel, func(m parallelMorsel) error {
-			wm := make(map[string]*group)
-			partials[m.Lo/morsel] = wm
-			env := &rowEnv{d: ds, outer: outer}
-			if err := processRange(wm, nil, m.Lo, m.Hi, env, false); err != nil {
-				return err
-			}
-			return chargeBudget(e.budget, int64(len(wm))*groupStateBytes)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, wm := range partials {
-			for k, pg := range wm {
-				g, ok := groups[k]
-				if !ok {
-					groups[k] = pg
-					continue
-				}
-				if pg.firstRow < g.firstRow {
-					g.firstRow = pg.firstRow
-				}
-				for i := range g.aggs {
-					g.aggs[i].Merge(pg.aggs[i])
-					g.counts[i] += pg.counts[i]
-				}
-			}
-		}
-		// Serial group order is first encounter scanning rows upward,
-		// i.e. ascending minimum row index.
-		order = make([]string, 0, len(groups))
-		for k := range groups {
-			order = append(order, k)
-		}
-		sort.Slice(order, func(i, j int) bool {
-			return groups[order[i]].firstRow < groups[order[j]].firstRow
-		})
-	} else {
-		env := &rowEnv{d: ds, outer: outer}
-		if err := processRange(groups, func(key string) { order = append(order, key) }, 0, n, env, true); err != nil {
-			return nil, err
-		}
-		if err := chargeBudget(e.budget, int64(len(groups))*groupStateBytes); err != nil {
-			return nil, err
-		}
-	}
-	// Aggregates over zero rows with no GROUP BY still yield one row.
-	if len(groups) == 0 && len(keyExprs) == 0 {
-		g := &group{firstRow: -1,
-			aggs:   make([]*bat.AggState, len(ac.calls)),
-			counts: make([]int64, len(ac.calls)),
-		}
-		for i, c := range ac.calls {
-			g.aggs[i] = bat.NewAggState(c.Name)
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-	// Build the per-group intermediate: source columns of the first
-	// row plus placeholder aggregate columns.
-	interCols := append([]Col(nil), ds.Cols...)
-	for i, nme := range ac.names {
-		interCols = append(interCols, Col{Name: nme, Typ: aggType(ac.calls[i])})
-	}
-	inter := NewDataset(interCols)
-	row := make([]value.Value, len(interCols))
-	for _, key := range order {
-		g := groups[key]
-		for c := range ds.Cols {
-			if g.firstRow >= 0 {
-				row[c] = ds.Vecs[c].Get(g.firstRow)
-			} else {
-				row[c] = value.NewNull(ds.Cols[c].Typ)
-			}
-		}
-		for i, c := range ac.calls {
-			if c.Star {
-				row[len(ds.Cols)+i] = value.NewInt(g.counts[i])
-			} else {
-				row[len(ds.Cols)+i] = g.aggs[i].Result()
-			}
-		}
-		inter.Append(row)
-	}
-	if havingRw != nil {
-		keep, err := e.filterKeep(havingRw, inter, outer, 1)
-		if err != nil {
-			return nil, err
-		}
-		inter = inter.Gather(keep)
-	}
-	return e.projectWith(rewritten, inter, outer, 1)
 }
 
 // --- NEXT() time-series rewriting ---------------------------------------------

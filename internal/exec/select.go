@@ -8,7 +8,6 @@ import (
 	"repro/internal/array"
 	"repro/internal/bat"
 	"repro/internal/expr"
-	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/sql/ast"
 	"repro/internal/value"
@@ -66,8 +65,12 @@ func (e *Engine) execSelectCore(sel *ast.Select, outer expr.Env) (*Dataset, erro
 	// Streamable scan→filter→project pipelines run fused per scan
 	// chunk on the materializing path too, when there is something to
 	// gain: compiled kernel batches, or LIMIT pushed into the scan.
+	// Aggregation and value grouping over one array fold per scan chunk.
 	if be, isBase := outer.(*baseEnv); isBase {
 		if ds, handled, err := e.fusedScanSelect(sel, be); handled || err != nil {
+			return ds, err
+		}
+		if ds, handled, err := e.aggScanSelect(sel, be); handled || err != nil {
 			return ds, err
 		}
 	}
@@ -80,19 +83,26 @@ func (e *Engine) execSelectCore(sel *ast.Select, outer expr.Env) (*Dataset, erro
 	conjs := splitConjuncts(sel.Where)
 	pf := e.prof
 	var t0 time.Time
+	var scanned int64
 	if pf != nil {
 		t0 = time.Now()
+		scanned = pf.Scan.Chunks.Load()
 	}
 	ds, sources, remaining, err := e.buildFrom(sel.From, conjs, outer, dec)
 	if err != nil {
 		return nil, err
 	}
 	if pf != nil {
-		pf.Scan.AddNanos(time.Since(t0))
-		pf.Scan.RowsOut.Add(int64(ds.NumRows()))
-		pf.Scan.Chunks.Add(1)
-		pf.Scan.Cells.Add(int64(ds.NumRows()))
-		pf.Scan.RowBatches.Add(1)
+		// Array scans publish their own chunk-level statistics; sources
+		// that are not chunked (tables, derived tables, single-cell
+		// reads) count as one chunk here.
+		if pf.Scan.Chunks.Load() == scanned {
+			pf.Scan.AddNanos(time.Since(t0))
+			pf.Scan.RowsOut.Add(int64(ds.NumRows()))
+			pf.Scan.Chunks.Add(1)
+			pf.Scan.Cells.Add(int64(ds.NumRows()))
+			pf.Scan.RowBatches.Add(1)
+		}
 		if len(sel.From) > 1 {
 			// buildFrom materializes the join product in the same pass.
 			pf.Join.RowsOut.Add(int64(ds.NumRows()))
@@ -254,12 +264,12 @@ func (e *Engine) fusedScanSelect(sel *ast.Select, env *baseEnv) (*Dataset, bool,
 		e.vecMu.Unlock()
 		return nil, false, nil
 	}
-	cur := e.streamCursorFor(e.ctx(), sp)
-	ds, err := cur.Materialize()
+	cur, err := e.streamCursorFor(e.ctx(), sp)
 	if err != nil {
 		return nil, true, err
 	}
-	return ds, true, nil
+	ds, err := cur.Materialize()
+	return ds, true, err
 }
 
 // resolveOrderCols maps ORDER BY keys onto dataset columns (by name or
@@ -880,16 +890,6 @@ func effectiveSels(a *array.Array, sels []dimSel, restrict map[int]dimSel) []dim
 	return eff
 }
 
-// effMatch reports whether coords satisfy every effective constraint.
-func effMatch(eff []dimSel, coords []int64) bool {
-	for i := range eff {
-		if !selContains(eff[i], coords[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // selContains reports whether one dimension selection admits index
 // value v: a point admits only its value; a full selection ([*] or an
 // unindexed dimension) never rejects; ranges are half-open and
@@ -917,41 +917,20 @@ func (e *Engine) scanArray(a *array.Array, qual string, sels []dimSel, restrict 
 	return e.scanArrayPruned(a, qual, sels, restrict, nil, 1, nil)
 }
 
-// scanChunksPerWorker is how many scan chunks each worker gets on
-// average: a few per worker lets dynamic scheduling balance skew
-// (selective filters, sparse slabs) across the pool.
-const scanChunksPerWorker = 4
-
-// minParallelScanCells gates the chunked parallel scan: below this
-// many materialized cells the fan-out overhead dominates and the
-// serial scan wins.
-const minParallelScanCells = 4096
-
 // scanArrayPruned materializes an array as a dataset of dimension
 // columns (IsDim) and the attribute columns selected by attrs (the
 // optimizer's pruned scan projection; nil keeps all), skipping holes
 // (§3.1). sels (FROM slicing) and restrict (pushed-down predicates)
 // bound the scan; when every dimension is pinned to a point the scan
-// is a direct cell read. par > 1 fans scan chunks across the morsel
-// pool when the store supports chunked scans; per-chunk buffers merge
-// in chunk order, so the result is byte-identical to the serial scan.
+// is a direct cell read, anything else concatenates the store's column
+// batches (materializeScan).
 func (e *Engine) scanArrayPruned(a *array.Array, qual string, sels []dimSel, restrict map[int]dimSel, attrs []int, par int, sk *chunkSkipper) (*Dataset, error) {
 	nd := len(a.Schema.Dims)
 	cols := scanColsPruned(a, qual, attrs)
-	out := NewDataset(cols)
 	// Effective per-dim constraint = intersection of sels and restrict.
 	eff := effectiveSels(a, sels, restrict)
-	if effProvablyEmpty(eff) {
-		return out, nil // disjoint slice ∩ predicate: nothing to scan
-	}
-	allPoint := nd > 0
-	for i := range eff {
-		if !eff[i].point {
-			allPoint = false
-			break
-		}
-	}
-	if allPoint {
+	if allPoint(eff) {
+		out := NewDataset(cols)
 		coords := make([]int64, nd)
 		for i := range eff {
 			coords[i] = eff[i].val
@@ -982,149 +961,19 @@ func (e *Engine) scanArrayPruned(a *array.Array, qual string, sels []dimSel, res
 		}
 		return out, nil
 	}
-	if par > 1 && e.pool != nil && a.Store.Len() >= minParallelScanCells {
-		if cs, ok := a.Store.(array.ChunkedScanner); ok {
-			if chunks := cs.ScanChunks(par*scanChunksPerWorker, attrs); len(chunks) >= 2 {
-				chunks = e.skipChunks(sk, a.Store, chunks, par*scanChunksPerWorker, e.prof)
-				return e.scanChunksParallel(a, cols, eff, chunks)
-			}
-		}
-	}
-	row := make([]value.Value, len(cols))
-	var visited int
-	var scanErr error
-	if err := faultinject.Hit("scan.chunk"); err != nil {
-		return nil, err
-	}
-	e.skippedScan(a.Store, attrs, sk, e.prof)(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&8191 == 0 {
-			if err := e.canceled(); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		if !effMatch(eff, coords) {
-			return true
-		}
-		for i, c := range coords {
-			row[i] = value.Value{Typ: a.Schema.Dims[i].Typ, I: c}
-		}
-		copy(row[nd:], vals)
-		out.Append(row)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	if err := chargeBudget(e.budget, approxDatasetBytes(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.materializeScan(&scanSource{arr: a, cols: cols, attrs: attrs, eff: eff, skip: sk, prof: e.prof, budget: e.budget}, par)
 }
 
-// storeScanPruned runs a serial scan of st materializing only the
-// attribute columns in attrs (vals[i] = attribute attrs[i]; nil keeps
-// all), whether or not the store supports chunked scans.
-func storeScanPruned(st array.Store, attrs []int, visit func(coords []int64, vals []value.Value) bool) {
-	if attrs == nil {
-		st.Scan(visit)
-		return
-	}
-	if cs, ok := st.(array.ChunkedScanner); ok {
-		stopped := false
-		for _, chunk := range cs.ScanChunks(1, attrs) {
-			if stopped {
-				return
-			}
-			chunk(func(coords []int64, vals []value.Value) bool {
-				if !visit(coords, vals) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		}
-		return
-	}
-	sub := make([]value.Value, len(attrs))
-	st.Scan(func(coords []int64, vals []value.Value) bool {
-		for vi, ai := range attrs {
-			sub[vi] = vals[ai]
-		}
-		return visit(coords, sub)
-	})
-}
-
-// scanChunksParallel runs the chunked scan across the morsel pool:
-// each worker filters its chunks against eff and buffers matching rows
-// in a per-chunk dataset; the buffers concatenate in chunk index
-// order, which the store guarantees equals serial scan order.
-func (e *Engine) scanChunksParallel(a *array.Array, cols []Col, eff []dimSel, chunks []array.ChunkScan) (*Dataset, error) {
-	if len(chunks) == 0 {
-		// Every chunk was zone-map-skipped.
-		return NewDataset(cols), nil
-	}
-	nd := len(a.Schema.Dims)
-	parts := make([]*Dataset, len(chunks))
-	ctx := e.ctx()
-	bud := e.budget
-	err := e.pool.ForEachCtx(ctx, len(chunks), 1, func(m parallelMorsel) error {
-		for ci := m.Lo; ci < m.Hi; ci++ {
-			if err := faultinject.Hit("scan.chunk"); err != nil {
-				return err
-			}
-			part := NewDataset(cols)
-			row := make([]value.Value, len(cols))
-			visited := 0
-			var stop error
-			chunks[ci](func(coords []int64, vals []value.Value) bool {
-				visited++
-				if visited&8191 == 0 {
-					if err := ctx.Err(); err != nil {
-						stop = err
-						return false
-					}
-				}
-				if !effMatch(eff, coords) {
-					return true
-				}
-				for i, c := range coords {
-					row[i] = value.Value{Typ: a.Schema.Dims[i].Typ, I: c}
-				}
-				copy(row[nd:], vals)
-				part.Append(row)
-				return true
-			})
-			if stop != nil {
-				return stop
-			}
-			// One charge per chunk buffer (the merge below concatenates
-			// into parts[0], whose growth these charges already cover).
-			if err := chargeBudget(bud, approxDatasetBytes(part)); err != nil {
-				return err
-			}
-			parts[ci] = part
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := parts[0]
-	extra := 0
-	for _, p := range parts[1:] {
-		extra += p.NumRows()
-	}
-	for c := range out.Vecs {
-		out.Vecs[c] = bat.Grow(out.Vecs[c], extra)
-	}
-	for _, p := range parts[1:] {
-		for c := range out.Vecs {
-			out.Vecs[c] = bat.Concat(out.Vecs[c], p.Vecs[c])
+// allPoint reports whether eff pins every dimension to a point: the
+// scan is then a single cell read, which keeps its exact hole
+// semantics on the direct-read path instead of going through chunks.
+func allPoint(eff []dimSel) bool {
+	for i := range eff {
+		if !eff[i].point {
+			return false
 		}
 	}
-	return out, nil
+	return len(eff) > 0
 }
 
 // emptySel is a selection no coordinate satisfies.

@@ -247,91 +247,34 @@ func dimSelSkips(s dimSel, lo, hi int64) bool {
 	return false
 }
 
-// chunkZoneStats fetches zone maps index-aligned with a ScanChunks
-// call that used the same target; nil when the store keeps no stats or
-// the partitions disagree (a concurrent shape change — never expected,
-// but skipping nothing is always safe).
-func chunkZoneStats(st array.Store, target, nchunks int) []array.ChunkStats {
+// skipChunks filters a chunk list through the skipper, publishing the
+// skipped count to the engine counters and the armed profile. The zone
+// maps come from the same chunking target, so stats[i] describes
+// chunks[i]; a store that keeps none, or a partition that disagrees (a
+// concurrent shape change — never expected), skips nothing, which is
+// always safe. The relative order of surviving chunks is preserved, so
+// ordered merges downstream stay byte-identical to a serial scan of the
+// survivors.
+func (e *Engine) skipChunks(sk *chunkSkipper, st array.Store, chunks []array.ColumnChunk, target int, prof *telemetry.Profile) []array.ColumnChunk {
 	sp, ok := st.(array.StatsProvider)
-	if !ok {
-		return nil
+	if sk == nil || !ok {
+		return chunks
 	}
 	stats := sp.ChunkStats(target)
-	if len(stats) != nchunks {
-		return nil
-	}
-	return stats
-}
-
-// skipChunks filters a chunk list through the skipper, publishing the
-// skipped count to the engine counters and the armed profile. The
-// relative order of surviving chunks is preserved, so ordered merges
-// downstream stay byte-identical to a serial scan of the survivors.
-func (e *Engine) skipChunks(sk *chunkSkipper, st array.Store, chunks []array.ChunkScan, target int, prof *telemetry.Profile) []array.ChunkScan {
-	if sk == nil || len(chunks) == 0 {
+	if len(stats) != len(chunks) {
 		return chunks
 	}
-	stats := chunkZoneStats(st, target, len(chunks))
-	if stats == nil {
-		return chunks
-	}
-	kept := make([]array.ChunkScan, 0, len(chunks))
-	skipped := 0
+	kept := make([]array.ColumnChunk, 0, len(chunks))
 	for i := range chunks {
-		if sk.skip(&stats[i]) {
-			skipped++
-			continue
+		if !sk.skip(&stats[i]) {
+			kept = append(kept, chunks[i])
 		}
-		kept = append(kept, chunks[i])
 	}
-	if skipped > 0 {
-		e.metrics().scanChunksSkipped.Add(int64(skipped))
+	if skipped := int64(len(chunks) - len(kept)); skipped > 0 {
+		e.metrics().scanChunksSkipped.Add(skipped)
 		if prof != nil {
-			prof.Scan.Skipped.Add(int64(skipped))
+			prof.Scan.Skipped.Add(skipped)
 		}
 	}
 	return kept
-}
-
-// serialSkipChunks is the chunking target of a serial scan that has a
-// skipper: fine enough that selective predicates drop most of the
-// store, coarse enough that per-chunk overhead stays negligible.
-const serialSkipChunks = 32
-
-// skippedScan returns a serial scan driver over st: the plain pruned
-// store walk, or — when a skipper compiled and the store keeps zone
-// maps — a chunked walk that drops skippable chunks first. Chunk
-// concatenation order equals serial scan order, so both drivers visit
-// surviving cells identically.
-func (e *Engine) skippedScan(st array.Store, attrs []int, sk *chunkSkipper, prof *telemetry.Profile) func(visit func(coords []int64, vals []value.Value) bool) {
-	if sk != nil && st.Len() >= minParallelScanCells {
-		if cs, ok := st.(array.ChunkedScanner); ok {
-			if chunks := cs.ScanChunks(serialSkipChunks, attrs); len(chunks) >= 2 {
-				chunks = e.skipChunks(sk, st, chunks, serialSkipChunks, prof)
-				return func(visit func(coords []int64, vals []value.Value) bool) {
-					stopped := false
-					for _, chunk := range chunks {
-						if stopped {
-							return
-						}
-						chunk(func(coords []int64, vals []value.Value) bool {
-							if !visit(coords, vals) {
-								stopped = true
-								return false
-							}
-							return true
-						})
-					}
-				}
-			}
-		}
-	}
-	return func(visit func(coords []int64, vals []value.Value) bool) {
-		storeScanPruned(st, attrs, visit)
-	}
-}
-
-// streamScan is skippedScan bound to a compiled stream plan.
-func (e *Engine) streamScan(sp *streamPlan) func(visit func(coords []int64, vals []value.Value) bool) {
-	return e.skippedScan(sp.arr.Store, sp.attrs, sp.skip, sp.prof)
 }

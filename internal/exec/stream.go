@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/governor"
 	"repro/internal/sql/ast"
-	"repro/internal/telemetry"
 	"repro/internal/value"
 )
 
@@ -21,35 +20,70 @@ import (
 // streaming API (sciql.Rows, the database/sql driver). A SELECT whose
 // shape qualifies — a single catalog-array pipeline of scan → filter →
 // project (+ LIMIT), engine-state-free expressions — yields rows as
-// they are produced instead of materializing the whole result:
+// they are produced instead of materializing the whole result. The
+// scan's column batches (scan.go) run through the filter and the
+// projection one batch at a time, as compiled kernels when every
+// expression vectorizes and row by row out of the batch otherwise:
 //
-//   - serially, the interpreter walks the array store inside a
-//     coroutine (iter.Pull), evaluating filter and projection per cell
-//     and suspending after each emitted row;
-//   - in parallel, the morsel pool evaluates filter+projection per
-//     morsel and streams the merged partials to the consumer in morsel
-//     order, so iteration order (and results) are identical to the
-//     serial path; workers honor ctx.Done() between morsels, so
-//     cancellation actually stops long scans.
+//   - serially, inside a coroutine (iter.Pull) that suspends after each
+//     batch, so a LIMIT stops the store walk mid-chunk;
+//   - in parallel, the morsel pool processes whole chunks and the
+//     consumer re-orders their outputs by chunk ordinal, so iteration
+//     order (and results) are identical to the serial path; workers
+//     honor ctx.Done() between batches, so cancellation actually stops
+//     long scans.
 //
-// Everything else — aggregation, tiling, joins, ORDER BY, DISTINCT,
-// set operations — executes through the materializing interpreter and
-// is served from the completed dataset through the same Cursor
-// interface: one implementation, two views.
+// Everything else — tiling, joins, ORDER BY, DISTINCT, set operations —
+// executes through the materializing interpreter and is served from
+// the completed dataset through the same Cursor interface: one
+// implementation, two views.
 
-// cursorItem is one step of a row stream: a row or a terminal error.
-type cursorItem struct {
-	row []value.Value
-	err error
+// rowBatch is one step of a cursor's stream: the output rows of one
+// scan batch (serial) or scan chunk (parallel) — a dataset when the
+// kernel pipeline produced them, boxed rows when the interpreter did —
+// or a terminal error.
+type rowBatch struct {
+	ds   *Dataset
+	rows [][]value.Value
+	err  error
 }
 
-// vecBatch is one step of a batch stream: the projected rows of one
-// scan batch as a dataset, or a terminal error. Vectorized cursors
-// produce batches; Next unpacks them row by row while Materialize
-// concatenates their columns wholesale.
-type vecBatch struct {
-	ds  *Dataset
-	err error
+func (b *rowBatch) numRows() int {
+	if b.ds != nil {
+		return b.ds.NumRows()
+	}
+	return len(b.rows)
+}
+
+// add appends o's rows (the same representation as b's).
+func (b *rowBatch) add(o rowBatch) {
+	switch {
+	case o.ds == nil:
+		b.rows = append(b.rows, o.rows...)
+	case b.ds == nil:
+		b.ds = NewDataset(o.ds.Cols)
+		fallthrough
+	default:
+		b.ds.concat(o.ds)
+	}
+}
+
+// head cuts the batch down to its first k rows.
+func (b *rowBatch) head(k int) {
+	if b.ds == nil {
+		b.rows = b.rows[:k]
+		return
+	}
+	out := &Dataset{Cols: b.ds.Cols, Vecs: make([]bat.Vector, len(b.ds.Vecs))}
+	for i, v := range b.ds.Vecs {
+		out.Vecs[i] = v.Slice(0, k)
+	}
+	b.ds = out
+}
+
+// approxBytes estimates the batch's footprint for the memory budget.
+func (b *rowBatch) approxBytes() int64 {
+	return approxDatasetBytes(b.ds) + approxRowsBytes(b.rows)
 }
 
 // Cursor is a pull-based row stream over a query result. It is not
@@ -61,18 +95,18 @@ type Cursor struct {
 	// with the same column typing as the materialized path; nil for
 	// dataset-backed cursors.
 	items []ast.SelectItem
-	// ds backs fallback cursors (materialized execution).
-	ds  *Dataset
-	row int // next row of ds
-	// next/stop drive row-streaming cursors.
-	next   func() (cursorItem, bool)
-	stop   func()
-	cancel context.CancelFunc
-	done   bool
-	err    error
-	// nextBatch/stopBatch drive vectorized (batch-streaming) cursors.
-	nextBatch func() (vecBatch, bool)
+	// ds backs fallback cursors (materialized execution): it is served
+	// as the one batch of a stream that ends after it.
+	ds *Dataset
+	// nextBatch/stopBatch drive the stream; batch is the one being
+	// served and batchRow its next row.
+	nextBatch func() (rowBatch, bool)
 	stopBatch func()
+	batch     rowBatch
+	batchRow  int
+	cancel    context.CancelFunc
+	done      bool
+	err       error
 	// onClose releases resources held for the cursor's lifetime (the
 	// session's pinned catalog snapshot); run once, on first Close.
 	onClose func()
@@ -82,10 +116,9 @@ type Cursor struct {
 	mapErr func(error) error
 	// batchCols is the static output column template of a vectorized
 	// cursor (kernel result types; all-NULL columns refine to Float at
-	// materialization, like the interpreter's type promotion).
+	// materialization, like the interpreter's type promotion); nil when
+	// the interpreter produces the rows.
 	batchCols []Col
-	batch     *Dataset
-	batchRow  int
 }
 
 // Cols describes the cursor's columns. For streaming cursors the
@@ -122,40 +155,24 @@ func (c *Cursor) Next() (row []value.Value, err error) {
 	if c.done {
 		return nil, nil
 	}
-	if c.ds != nil {
-		if c.row >= c.ds.NumRows() {
+	for c.batchRow >= c.batch.numRows() {
+		b, ok := c.nextBatch()
+		if !ok {
 			c.done = true
 			return nil, nil
 		}
-		row := c.ds.Row(c.row)
-		c.row++
-		return row, nil
-	}
-	if c.nextBatch != nil {
-		for c.batch == nil || c.batchRow >= c.batch.NumRows() {
-			b, ok := c.nextBatch()
-			if !ok {
-				c.done = true
-				return nil, nil
-			}
-			if b.err != nil {
-				return nil, c.finishErr(b.err)
-			}
-			c.batch, c.batchRow = b.ds, 0
+		if b.err != nil {
+			return nil, c.finishErr(b.err)
 		}
-		row := c.batch.Row(c.batchRow)
-		c.batchRow++
-		return row, nil
+		c.batch, c.batchRow = b, 0
 	}
-	it, ok := c.next()
-	if !ok {
-		c.done = true
-		return nil, nil
+	if c.batch.ds != nil {
+		row = c.batch.ds.Row(c.batchRow)
+	} else {
+		row = c.batch.rows[c.batchRow]
 	}
-	if it.err != nil {
-		return nil, c.finishErr(it.err)
-	}
-	return it.row, nil
+	c.batchRow++
+	return row, nil
 }
 
 // Close releases the stream: the producing coroutine is stopped and
@@ -168,9 +185,6 @@ func (c *Cursor) Close() {
 		r := recover()
 		if c.cancel != nil {
 			c.cancel()
-		}
-		if c.stop != nil {
-			c.stop()
 		}
 		if c.stopBatch != nil {
 			c.stopBatch()
@@ -211,51 +225,45 @@ func (c *Cursor) Materialize() (ds *Dataset, err error) {
 		}
 	}()
 	defer c.Close()
-	if c.nextBatch != nil {
-		// Vectorized cursors materialize by concatenating batch columns
-		// wholesale — no per-row boxing.
-		acc := make([]bat.Vector, len(c.batchCols))
-		for i, col := range c.batchCols {
-			acc[i] = bat.New(col.Typ, 0)
-		}
-		if c.batch != nil && c.batchRow < c.batch.NumRows() {
-			for i := range acc {
-				acc[i] = bat.Concat(acc[i], bat.ViewRange(c.batch.Vecs[i], c.batchRow, c.batch.NumRows()))
-			}
-		}
-		for !c.done && c.err == nil {
-			b, ok := c.nextBatch()
-			if !ok {
-				break
-			}
-			if b.err != nil {
-				return nil, c.finishErr(b.err)
-			}
-			for i := range acc {
-				acc[i] = bat.Concat(acc[i], b.ds.Vecs[i])
-			}
-		}
-		cols := append([]Col(nil), c.batchCols...)
-		for i := range acc {
-			v, t := finalizeVecOutput(acc[i])
-			acc[i], cols[i].Typ = v, t
-		}
-		return &Dataset{Cols: cols, Vecs: acc}, nil
+	if c.err != nil {
+		return nil, c.err
 	}
+	// The unread tail of the batch being served, then every batch left.
+	// Vectorized cursors concatenate batch columns wholesale — no
+	// per-row boxing; interpreted rows collect per column for the
+	// interpreter's type promotion.
+	acc := NewDataset(c.batchCols)
 	colVals := make([][]value.Value, len(c.items))
+	b, from := c.batch, c.batchRow
 	for {
-		row, err := c.Next()
-		if err != nil {
-			return nil, err
+		if b.ds != nil {
+			for i, v := range b.ds.Vecs {
+				acc.Vecs[i] = bat.Concat(acc.Vecs[i], bat.ViewRange(v, from, v.Len()))
+			}
+		} else if from < len(b.rows) {
+			for _, row := range b.rows[from:] {
+				for i, v := range row {
+					colVals[i] = append(colVals[i], v)
+				}
+			}
 		}
-		if row == nil {
+		var ok bool
+		if b, ok = c.nextBatch(); !ok {
 			break
 		}
-		for i, v := range row {
-			colVals[i] = append(colVals[i], v)
+		if b.err != nil {
+			return nil, c.finishErr(b.err)
 		}
+		from = 0
 	}
-	return buildProjected(c.items, colVals), nil
+	if c.batchCols == nil {
+		return buildProjected(c.items, colVals), nil
+	}
+	cols := append([]Col(nil), c.batchCols...)
+	for i := range acc.Vecs {
+		acc.Vecs[i], cols[i].Typ = finalizeVecOutput(acc.Vecs[i])
+	}
+	return &Dataset{Cols: cols, Vecs: acc.Vecs}, nil
 }
 
 // Streaming reports whether rows are produced incrementally (as
@@ -263,20 +271,20 @@ func (c *Cursor) Materialize() (ds *Dataset, err error) {
 func (c *Cursor) Streaming() bool { return c.ds == nil }
 
 // datasetCursor wraps an already-materialized result.
-func datasetCursor(ds *Dataset) *Cursor { return &Cursor{cols: ds.Cols, ds: ds} }
+func datasetCursor(ds *Dataset) *Cursor {
+	return &Cursor{cols: ds.Cols, ds: ds, batch: rowBatch{ds: ds}, nextBatch: func() (rowBatch, bool) { return rowBatch{}, false }}
+}
 
 // DatasetCursor exposes the dataset-backed cursor to the public layer
 // (EXPLAIN results stream through it like any other query).
 func DatasetCursor(ds *Dataset) *Cursor { return datasetCursor(ds) }
 
-// streamPlan is a compiled streamable SELECT: one array scan with
-// per-row filter and projection.
+// streamPlan is a compiled single-array SELECT: the resolved scan plus
+// the residual filter, and — for streamable statements — the per-row
+// HAVING, projection and LIMIT.
 type streamPlan struct {
-	arr    *array.Array
+	scanSource
 	qual   string
-	sels   []dimSel
-	eff    []dimSel
-	attrs  []int // pruned scan projection (nil = all attributes)
 	items  []ast.SelectItem
 	where  ast.Expr // residual conjuncts after pushdown
 	having ast.Expr // aggregate-free HAVING (post-where row filter)
@@ -285,66 +293,8 @@ type streamPlan struct {
 	outer  *baseEnv // host parameters
 	// vec holds the compiled kernel pipeline when filter, HAVING and
 	// every projection item vectorize; nil falls back to the row
-	// interpreter per cell.
+	// interpreter per batch row.
 	vec *streamVec
-	// skip holds the compiled zone-map skip conditions; nil when chunk
-	// skipping is off or nothing in the statement can prune a chunk.
-	skip *chunkSkipper
-	// prof is the profile collector of the arming EXPLAIN ANALYZE,
-	// copied from the session at compile time so parallel workers never
-	// read session state; nil on unprofiled statements.
-	prof *telemetry.Profile
-	// budget is the statement's memory account, copied from the session
-	// at compile time for the same reason as prof; nil when no memory
-	// limit is configured.
-	budget *governor.Budget
-}
-
-// streamCounts accumulates one scan segment's row-flow locally (plain
-// ints — no atomics inside the cell loop); flushStreamCounts publishes
-// it with a handful of atomic adds per chunk.
-type streamCounts struct {
-	visited   int64 // cells walked
-	matched   int64 // cells passing the effective dimension restriction
-	postWhere int64 // rows surviving the residual WHERE
-	emitted   int64 // rows surviving HAVING, projected and emitted
-}
-
-// flushStreamCounts publishes one scan segment (a chunk, or a whole
-// serial scan) to the engine counters — and to the armed profile, when
-// there is one — attributing the segment's wall time to the fused
-// scan pipeline's root operator.
-func (e *Engine) flushStreamCounts(sp *streamPlan, c *streamCounts, el time.Duration) {
-	m := e.metrics()
-	m.scanChunks.Inc()
-	m.scanCells.Add(c.visited)
-	m.scanRows.Add(c.emitted)
-	p := sp.prof
-	if p == nil {
-		return
-	}
-	p.Scan.Chunks.Add(1)
-	p.Scan.Cells.Add(c.visited)
-	p.Scan.RowsOut.Add(c.matched)
-	p.Scan.AddNanos(el)
-	p.Scan.RowBatches.Add(1)
-	if sp.where != nil {
-		p.Filter.RowsIn.Add(c.matched)
-		p.Filter.RowsOut.Add(c.postWhere)
-		p.Filter.RowBatches.Add(1)
-	}
-	if sp.having != nil {
-		p.Having.RowsIn.Add(c.postWhere)
-		p.Having.RowsOut.Add(c.emitted)
-		p.Having.RowBatches.Add(1)
-	}
-	p.Project.RowsIn.Add(c.emitted)
-	p.Project.RowsOut.Add(c.emitted)
-	p.Project.RowBatches.Add(1)
-	if sp.limit >= 0 {
-		p.Limit.RowsOut.Add(c.emitted)
-		p.Limit.RowBatches.Add(1)
-	}
 }
 
 // streamVec is the compiled vectorized pipeline of a streamable
@@ -352,7 +302,6 @@ func (e *Engine) flushStreamCounts(sp *streamPlan, c *streamCounts, el time.Dura
 // vector, the referenced columns gather through it, and the item
 // programs evaluate over the gathered batch.
 type streamVec struct {
-	srcCols []Col      // pruned scan columns the programs bind against
 	filter  *vecProg   // nil when every conjunct was pushed down
 	having  *vecProg   // nil without HAVING
 	items   []*vecProg // one per projection item
@@ -367,8 +316,8 @@ func (e *Engine) compileStreamVec(sp *streamPlan) *streamVec {
 	if !e.vectorized {
 		return nil
 	}
-	srcCols := scanColsPruned(sp.arr, sp.qual, sp.attrs)
-	sv := &streamVec{srcCols: srcCols}
+	srcCols := sp.cols
+	sv := &streamVec{}
 	if sp.where != nil {
 		if sv.filter = e.vecCompile(sp.where, srcCols, false); sv.filter == nil {
 			return nil
@@ -578,7 +527,11 @@ func (e *Engine) queryStreamPinned(ctx context.Context, sel *ast.Select, params 
 		}
 		return datasetCursor(ds), nil
 	}
-	cur := e.streamCursorFor(ctx, sp)
+	cur, err := e.streamCursorFor(ctx, sp)
+	if err != nil {
+		e.metrics().statement("select", time.Since(start))
+		return nil, err
+	}
 	met := e.metrics()
 	cur.onClose = func() {
 		if release != nil {
@@ -619,64 +572,48 @@ func (sh *Shared) ReleaseAllCursorPins() {
 	}
 }
 
-// streamCursorFor picks the execution strategy for a compiled stream
-// plan: vectorized batch cursors when the pipeline compiled into
-// kernels, row cursors otherwise; parallel over scan chunks when the
-// morsel pool and store support it.
-func (e *Engine) streamCursorFor(ctx context.Context, sp *streamPlan) *Cursor {
-	cols := streamColumns(sp.items, sp.arr, sp.qual)
-	if effProvablyEmpty(sp.eff) {
-		// Disjoint slice ∩ predicate: an empty stream, no store walk.
-		next, stop := iter.Pull(func(func(cursorItem) bool) {})
-		return &Cursor{cols: cols, items: sp.items, next: next, stop: stop}
+// streamCursorFor opens the cursor of a compiled stream plan: parallel
+// over scan chunks when the plan and the chunking allow it, a serial
+// coroutine otherwise.
+func (e *Engine) streamCursorFor(ctx context.Context, sp *streamPlan) (*Cursor, error) {
+	chunks, err := e.scanChunks(&sp.scanSource)
+	if err != nil {
+		return nil, err
 	}
-	if sp.par > 1 && e.pool != nil && sp.arr.Store.Len() >= minParallelScanCells {
-		// Fan the scan itself out: chunks of the store are the morsel
-		// domain, and filter + projection run per chunk inside the
-		// scan — nothing is materialized up front.
-		if cs, ok := sp.arr.Store.(array.ChunkedScanner); ok {
-			if chunks := cs.ScanChunks(sp.par*scanChunksPerWorker, sp.attrs); len(chunks) >= 2 {
-				chunks = e.skipChunks(sp.skip, sp.arr.Store, chunks, sp.par*scanChunksPerWorker, sp.prof)
-				if sp.vec != nil {
-					return e.parallelVecCursor(ctx, sp, chunks, cols)
-				}
-				return e.parallelStreamCursor(ctx, sp, chunks, cols)
-			}
-		}
-	}
+	cur := &Cursor{cols: streamColumns(sp.items, sp.arr, sp.qual), items: sp.items}
 	if sp.vec != nil {
-		return e.serialVecCursor(ctx, sp, cols)
+		cur.batchCols = sp.vec.outCols
 	}
-	return e.serialStreamCursor(ctx, sp, cols)
+	seq := e.serialStream(ctx, sp, chunks)
+	if sp.par > 1 && e.pool != nil && len(chunks) >= 2 {
+		ctx, cur.cancel = context.WithCancel(ctx)
+		seq = e.parallelStream(ctx, cur.cancel, sp, chunks)
+	}
+	cur.nextBatch, cur.stopBatch = iter.Pull(seq)
+	return cur, nil
 }
 
-// compileStream vets the SELECT's shape and compiles the stream plan.
-// ok is false (with no error) when the statement must fall back to the
-// materializing path.
-func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*streamPlan, bool, error) {
-	if sel.SetRight != nil || sel.Distinct || len(sel.OrderBy) > 0 ||
-		sel.GroupBy != nil || len(sel.From) != 1 {
+// compileScan resolves the single catalog-array scan under sel: FROM
+// slicing, dimension pushdown (what is left of WHERE becomes the
+// residual filter), the pruned scan projection and the zone-map skip
+// conditions. ok is false (with no error) when the FROM clause is
+// anything else, an expression needs engine state, or the scan is a
+// single cell read — those statements take the materializing path.
+func (e *Engine) compileScan(sel *ast.Select, env *baseEnv) (*streamPlan, bool, error) {
+	if len(sel.From) != 1 {
 		return nil, false, nil
 	}
 	tr, ok := sel.From[0].(*ast.TableRef)
 	if !ok || tr.Subquery != nil {
 		return nil, false, nil
 	}
-	// Aggregates need the whole input; NEXT/subqueries/UDFs/RAND need
-	// engine state (parSafeSelect vets all of those plus indexers).
-	for _, it := range sel.Items {
-		if it.Expr == nil || ast.HasAggregate(it.Expr) {
-			return nil, false, nil
-		}
-	}
-	if sel.Having != nil && ast.HasAggregate(sel.Having) {
-		return nil, false, nil
-	}
+	// NEXT/subqueries/UDFs/RAND need engine state (parSafeSelect vets
+	// all of those plus indexers).
 	if !parSafeSelect(sel) {
 		return nil, false, nil
 	}
-	// Only catalog arrays stream; environment-bound arrays and tables
-	// fall back (they are small or already materialized).
+	// Only catalog arrays scan in chunks; environment-bound arrays and
+	// tables fall back (they are small or already materialized).
 	if _, envBound := env.Lookup("", tr.Name); envBound {
 		return nil, false, nil
 	}
@@ -687,20 +624,21 @@ func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*streamPlan, bool
 	if e.fromIsVacuous(sel, env) {
 		return nil, false, nil
 	}
-	sp := &streamPlan{arr: arr, qual: tr.Name, limit: -1, outer: env, prof: e.prof, budget: e.budget}
+	sp := &streamPlan{qual: tr.Name, limit: -1, outer: env}
+	sp.arr, sp.prof, sp.budget = arr, e.prof, e.budget
 	if tr.Alias != "" {
 		sp.qual = tr.Alias
 	}
+	var sels []dimSel
 	if len(tr.Indexers) > 0 {
-		sels, err := e.resolveIndexers(arr, tr.Indexers, env)
-		if err != nil {
+		var err error
+		if sels, err = e.resolveIndexers(arr, tr.Indexers, env); err != nil {
 			return nil, false, err
 		}
-		sp.sels = sels
 	}
 	conjs := splitConjuncts(sel.Where)
 	consumed := make([]bool, len(conjs))
-	restrict := e.pushdownDims(arr, sp.qual, conjs, consumed, sp.sels, env)
+	restrict := e.pushdownDims(arr, sp.qual, conjs, consumed, sels, env)
 	var remaining []ast.Expr
 	for i, c := range conjs {
 		if !consumed[i] {
@@ -708,44 +646,55 @@ func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*streamPlan, bool
 		}
 	}
 	sp.where = andAll(remaining)
-	sp.having = sel.Having
-	sp.eff = effectiveSels(arr, sp.sels, restrict)
-	// An all-point scan is a single cell read; the materialized path's
-	// direct-read fast path keeps its exact hole semantics.
-	allPoint := len(arr.Schema.Dims) > 0
-	for i := range sp.eff {
-		if !sp.eff[i].point {
-			allPoint = false
-			break
-		}
-	}
-	if allPoint {
+	sp.eff = effectiveSels(arr, sels, restrict)
+	if allPoint(sp.eff) {
 		return nil, false, nil
 	}
+	dec := e.selectDecision(sel)
+	sp.par = dec.par
+	sp.attrs = dec.scanAttrs(arr, tr.Name)
+	sp.cols = scanColsPruned(arr, sp.qual, sp.attrs)
+	// Single-source statement: unqualified identifiers bind to this
+	// array, so bare conjuncts are trusted for zone tests.
+	sp.skip = e.buildChunkSkipper(arr, sp.qual, sp.eff, remaining, true)
+	return sp, true, nil
+}
+
+// compileStream vets the SELECT's shape and compiles the stream plan.
+// ok is false (with no error) when the statement must fall back to the
+// materializing path.
+func (e *Engine) compileStream(sel *ast.Select, env *baseEnv) (*streamPlan, bool, error) {
+	if sel.SetRight != nil || sel.Distinct || len(sel.OrderBy) > 0 || sel.GroupBy != nil {
+		return nil, false, nil
+	}
+	// Aggregates need the whole input.
+	for _, it := range sel.Items {
+		if it.Expr == nil || ast.HasAggregate(it.Expr) {
+			return nil, false, nil
+		}
+	}
+	if sel.Having != nil && ast.HasAggregate(sel.Having) {
+		return nil, false, nil
+	}
+	sp, ok, err := e.compileScan(sel, env)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	sp.having = sel.Having
 	if sel.Limit != nil {
 		lv, err := e.Ev.Eval(sel.Limit, env)
 		if err != nil {
 			return nil, false, err
 		}
-		if n := int(lv.AsInt()); n >= 0 {
-			sp.limit = n
-		} else {
-			sp.limit = 0
-		}
+		sp.limit = max(int(lv.AsInt()), 0)
 	}
-	sp.items = expandStars(sel.Items, scanCols(arr, sp.qual))
+	sp.items = expandStars(sel.Items, scanCols(sp.arr, sp.qual))
 	for _, it := range sp.items {
 		if _, isStar := it.Expr.(*ast.Star); isStar {
 			return nil, false, fmt.Errorf("cannot expand * against %s", sp.qual)
 		}
 	}
-	dec := e.selectDecision(sel)
-	sp.par = dec.par
-	sp.attrs = dec.scanAttrs(arr, tr.Name)
 	sp.vec = e.compileStreamVec(sp)
-	// Single-source statement: unqualified identifiers bind to this
-	// array, so bare conjuncts are trusted for zone tests.
-	sp.skip = e.buildChunkSkipper(arr, sp.qual, sp.eff, remaining, true)
 	return sp, true, nil
 }
 
@@ -770,431 +719,204 @@ func streamColumns(items []ast.SelectItem, a *array.Array, qual string) []Col {
 	return cols
 }
 
-// serialStreamCursor walks the array store in a coroutine, yielding
-// one projected row per matching cell. Only one of producer and
-// consumer runs at a time (iter.Pull), so the path shares the serial
-// interpreter's single-threaded evaluation model.
-func (e *Engine) serialStreamCursor(ctx context.Context, sp *streamPlan, cols []Col) *Cursor {
-	nd := len(sp.arr.Schema.Dims)
-	scan := e.streamScan(sp)
-	seq := func(yield func(cursorItem) bool) {
-		srcCols := scanColsPruned(sp.arr, sp.qual, sp.attrs)
-		srcRow := make([]value.Value, len(srcCols))
-		venv := &valuesEnv{cols: srcCols, vals: srcRow, outer: sp.outer}
-		emitted := 0
-		var cnt streamCounts
-		scanStart := time.Now()
-		defer func() { e.flushStreamCounts(sp, &cnt, time.Since(scanStart)) }()
-		if err := faultinject.Hit("scan.chunk"); err != nil {
-			yield(cursorItem{err: err})
-			return
+// streamBatch runs one scan batch through filter, HAVING and
+// projection, emitting at most max rows (LIMIT pushdown; -1 for no
+// cap): the kernel pipeline when the plan compiled, otherwise the
+// interpreter reading rows out of the batch.
+func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (rowBatch, error) {
+	if sp.vec != nil {
+		return rowBatch{ds: e.vecProcessBatch(sp, in, max)}, nil
+	}
+	var t0 time.Time
+	if sp.prof != nil {
+		t0 = time.Now()
+	}
+	env := &rowEnv{d: in, outer: sp.outer}
+	n := in.NumRows()
+	var rows [][]value.Value
+	var postWhere int64
+	for r := 0; r < n && (max < 0 || len(rows) < max); r++ {
+		env.row = r
+		if sp.where != nil {
+			if ok, err := e.Ev.EvalBool(sp.where, env); err != nil {
+				return rowBatch{}, err
+			} else if !ok {
+				continue
+			}
 		}
-		scan(func(coords []int64, vals []value.Value) bool {
-			cnt.visited++
-			if cnt.visited&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					yield(cursorItem{err: err})
+		postWhere++
+		if sp.having != nil {
+			if ok, err := e.Ev.EvalBool(sp.having, env); err != nil {
+				return rowBatch{}, err
+			} else if !ok {
+				continue
+			}
+		}
+		row := make([]value.Value, len(sp.items))
+		for i, it := range sp.items {
+			v, err := e.Ev.Eval(it.Expr, env)
+			if err != nil {
+				return rowBatch{}, err
+			}
+			row[i] = v
+		}
+		rows = append(rows, row)
+	}
+	emitted := int64(len(rows))
+	e.metrics().scanRows.Add(emitted)
+	if p := sp.prof; p != nil {
+		// Filter and projection interleave per row; their time lands on
+		// the pipeline's root operator.
+		p.Project.AddNanos(time.Since(t0))
+		if sp.where != nil {
+			p.Filter.RowsIn.Add(int64(n))
+			p.Filter.RowsOut.Add(postWhere)
+			p.Filter.RowBatches.Add(1)
+		}
+		if sp.having != nil {
+			p.Having.RowsIn.Add(postWhere)
+			p.Having.RowsOut.Add(emitted)
+			p.Having.RowBatches.Add(1)
+		}
+		p.Project.RowsIn.Add(emitted)
+		p.Project.RowsOut.Add(emitted)
+		p.Project.RowBatches.Add(1)
+		if sp.limit >= 0 {
+			p.Limit.RowsOut.Add(emitted)
+			p.Limit.RowBatches.Add(1)
+		}
+	}
+	return rowBatch{rows: rows}, nil
+}
+
+// serialStream walks the chunks in order on the consumer's coroutine,
+// yielding each batch's output as it is produced. Only one of producer
+// and consumer runs at a time (iter.Pull), and a satisfied LIMIT stops
+// the store walk mid-chunk.
+func (e *Engine) serialStream(ctx context.Context, sp *streamPlan, chunks []array.ColumnChunk) iter.Seq[rowBatch] {
+	return func(yield func(rowBatch) bool) {
+		emitted := 0
+		for _, chunk := range chunks {
+			if sp.limit >= 0 && emitted >= sp.limit {
+				return
+			}
+			var batchErr error
+			gone := false
+			err := e.scanChunk(ctx, &sp.scanSource, chunk, func(in *Dataset) bool {
+				max := -1
+				if sp.limit >= 0 {
+					max = sp.limit - emitted
+				}
+				out, err := e.streamBatch(sp, in, max)
+				if err == nil {
+					err = chargeBudget(sp.budget, out.approxBytes())
+				}
+				if err != nil {
+					batchErr = err
 					return false
 				}
-			}
-			if sp.limit >= 0 && emitted >= sp.limit {
-				return false
-			}
-			if !effMatch(sp.eff, coords) {
-				return true
-			}
-			cnt.matched++
-			for i, c := range coords {
-				srcRow[i] = value.Value{Typ: sp.arr.Schema.Dims[i].Typ, I: c}
-			}
-			copy(srcRow[nd:], vals)
-			row, keep, err := e.streamEvalRow(sp, venv, &cnt)
-			if err != nil {
-				yield(cursorItem{err: err})
-				return false
-			}
-			if !keep {
-				return true
-			}
-			if !yield(cursorItem{row: row}) {
-				return false
-			}
-			emitted++
-			cnt.emitted++
-			return sp.limit < 0 || emitted < sp.limit
-		})
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, next: next, stop: stop}
-}
-
-// streamEvalRow applies residual filter, HAVING and projection to one
-// source row bound in env, recording stage survivors in cnt.
-func (e *Engine) streamEvalRow(sp *streamPlan, env *valuesEnv, cnt *streamCounts) ([]value.Value, bool, error) {
-	if sp.where != nil {
-		ok, err := e.Ev.EvalBool(sp.where, env)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	cnt.postWhere++
-	if sp.having != nil {
-		ok, err := e.Ev.EvalBool(sp.having, env)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	out := make([]value.Value, len(sp.items))
-	for i, it := range sp.items {
-		v, err := e.Ev.Eval(it.Expr, env)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
-// morselBatch is the unit the parallel stream sends from workers to
-// the consumer: the projected rows of one scan chunk, tagged with the
-// chunk ordinal for in-order merging.
-type morselBatch struct {
-	idx  int
-	rows [][]value.Value
-	err  error
-}
-
-// parallelStreamCursor fans the scan itself out over the morsel pool:
-// each worker walks its store chunks, applying the effective dimension
-// restriction, the residual filter and the projection per cell, and
-// sends the chunk's rows to the consumer, which reorders batches by
-// chunk ordinal. Chunk concatenation order equals serial scan order,
-// so iteration order (and results) are identical to the serial path.
-// Workers check ctx between chunks (and periodically inside a chunk)
-// and sends select on ctx.Done(), so canceling the query (or closing
-// the cursor early) stops the scan and leaks no goroutines.
-func (e *Engine) parallelStreamCursor(ctx context.Context, sp *streamPlan, chunks []array.ChunkScan, cols []Col) *Cursor {
-	nd := len(sp.arr.Schema.Dims)
-	srcCols := scanColsPruned(sp.arr, sp.qual, sp.attrs)
-	ictx, cancel := context.WithCancel(ctx)
-	ch := make(chan morselBatch, 2*e.pool.Workers())
-	started := false
-	start := func() {
-		started = true
-		go func() {
-			defer close(ch)
-			err := e.pool.ForEachCtx(ictx, len(chunks), 1, func(m parallelMorsel) error {
-				for ci := m.Lo; ci < m.Hi; ci++ {
-					if err := faultinject.Hit("scan.chunk"); err != nil {
-						return err
-					}
-					srcRow := make([]value.Value, len(srcCols))
-					venv := &valuesEnv{cols: srcCols, vals: srcRow, outer: sp.outer}
-					var rows [][]value.Value
-					var evalErr error
-					var cnt streamCounts
-					chunkStart := time.Now()
-					chunks[ci](func(coords []int64, vals []value.Value) bool {
-						cnt.visited++
-						if cnt.visited&1023 == 0 {
-							if err := ictx.Err(); err != nil {
-								evalErr = err
-								return false
-							}
-						}
-						if !effMatch(sp.eff, coords) {
-							return true
-						}
-						cnt.matched++
-						for i, c := range coords {
-							srcRow[i] = value.Value{Typ: sp.arr.Schema.Dims[i].Typ, I: c}
-						}
-						copy(srcRow[nd:], vals)
-						row, keep, err := e.streamEvalRow(sp, venv, &cnt)
-						if err != nil {
-							evalErr = err
-							return false
-						}
-						if keep {
-							rows = append(rows, row)
-							cnt.emitted++
-							// LIMIT pushdown: the final result takes at
-							// most limit rows from any one chunk, so the
-							// chunk scan can stop early.
-							if sp.limit >= 0 && len(rows) >= sp.limit {
-								return false
-							}
-						}
-						return true
-					})
-					e.flushStreamCounts(sp, &cnt, time.Since(chunkStart))
-					if evalErr == nil {
-						// One charge per chunk for the buffered rows (the
-						// hotloopflush discipline: no atomics in the cell loop).
-						evalErr = chargeBudget(sp.budget, approxRowsBytes(rows))
-					}
-					if evalErr != nil {
-						return evalErr
-					}
-					select {
-					case ch <- morselBatch{idx: ci, rows: rows}:
-					case <-ictx.Done():
-						return ictx.Err()
-					}
+				emitted += out.numRows()
+				if out.numRows() > 0 && !yield(out) {
+					gone = true
+					return false
 				}
-				return nil
-			})
-			if err != nil {
-				select {
-				case ch <- morselBatch{err: err}:
-				case <-ictx.Done():
-				}
-			}
-		}()
-	}
-	seq := func(yield func(cursorItem) bool) {
-		defer cancel()
-		if !started {
-			start()
-		}
-		pending := make(map[int][][]value.Value)
-		nextIdx := 0
-		emitted := 0
-		for b := range ch {
-			if b.err != nil {
-				yield(cursorItem{err: b.err})
-				return
-			}
-			pending[b.idx] = b.rows
-			for {
-				rows, have := pending[nextIdx]
-				if !have {
-					break
-				}
-				delete(pending, nextIdx)
-				nextIdx++
-				for _, row := range rows {
-					if sp.limit >= 0 && emitted >= sp.limit {
-						return
-					}
-					if !yield(cursorItem{row: row}) {
-						return
-					}
-					emitted++
-				}
-			}
-		}
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, next: next, stop: stop, cancel: cancel}
-}
-
-// vecScanBatches drives one scan sequence through the batch buffer:
-// cells passing the effective dimension restriction accumulate into
-// srcCols column batches; flush runs at every vecBatchRows boundary
-// and once at the end, and returning false from flush stops the scan
-// (LIMIT satisfied or consumer gone). The context is polled every
-// 1024 visited cells; its error is returned. Both vectorized cursors
-// share this loop so their batch semantics cannot drift apart. The
-// segment's cell/survivor counts publish once at the end; when a
-// profile is armed, time spent inside flush (the kernel pipeline,
-// timed per operator in vecProcessBatch) is subtracted from the scan's
-// attribution.
-func (e *Engine) vecScanBatches(ctx context.Context, sp *streamPlan, scan func(visit func(coords []int64, vals []value.Value) bool), flush func(in *Dataset) bool) error {
-	if err := faultinject.Hit("scan.chunk"); err != nil {
-		return err
-	}
-	sv := sp.vec
-	nd := len(sp.arr.Schema.Dims)
-	in := NewDataset(sv.srcCols)
-	var ctxErr error
-	stopped := false
-	var cnt streamCounts
-	profiled := sp.prof != nil
-	scanStart := time.Now()
-	var flushed time.Duration
-	doFlush := func() bool {
-		var t0 time.Time
-		if profiled {
-			t0 = time.Now()
-		}
-		ok := flush(in)
-		if profiled {
-			flushed += time.Since(t0)
-		}
-		// Fresh buffers every flush: kernel outputs may hold zero-copy
-		// views of the batch columns.
-		in = NewDataset(sv.srcCols)
-		return ok
-	}
-	scan(func(coords []int64, vals []value.Value) bool {
-		cnt.visited++
-		if cnt.visited&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
-			}
-		}
-		if !effMatch(sp.eff, coords) {
-			return true
-		}
-		cnt.matched++
-		for i, c := range coords {
-			in.Vecs[i].(*bat.IntVector).AppendInt64(c)
-		}
-		for vi, v := range vals {
-			in.Vecs[nd+vi].Append(v)
-		}
-		if in.NumRows() >= vecBatchRows && !doFlush() {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if ctxErr == nil && !stopped {
-		doFlush()
-	}
-	m := e.metrics()
-	m.scanChunks.Inc()
-	m.scanCells.Add(cnt.visited)
-	if p := sp.prof; p != nil {
-		p.Scan.Chunks.Add(1)
-		p.Scan.Cells.Add(cnt.visited)
-		p.Scan.RowsOut.Add(cnt.matched)
-		p.Scan.AddNanos(time.Since(scanStart) - flushed)
-		p.Scan.VecBatches.Add(1)
-	}
-	return ctxErr
-}
-
-// serialVecCursor walks the array store serially, buffering matching
-// cells into column batches of vecBatchRows and running the compiled
-// kernel pipeline per batch. LIMIT short-circuits mid-chunk: once
-// enough rows have surfaced the store walk stops.
-func (e *Engine) serialVecCursor(ctx context.Context, sp *streamPlan, cols []Col) *Cursor {
-	sv := sp.vec
-	scan := e.streamScan(sp)
-	seq := func(yield func(vecBatch) bool) {
-		emitted := 0
-		var chargeErr error
-		err := e.vecScanBatches(ctx, sp, scan, func(in *Dataset) bool {
-			if in.NumRows() == 0 {
 				return sp.limit < 0 || emitted < sp.limit
-			}
-			max := -1
-			if sp.limit >= 0 {
-				max = sp.limit - emitted
-			}
-			out := e.vecProcessBatch(sp, in, max)
-			if cerr := chargeBudget(sp.budget, approxDatasetBytes(out)); cerr != nil {
-				chargeErr = cerr
-				return false
-			}
-			emitted += out.NumRows()
-			if out.NumRows() > 0 && !yield(vecBatch{ds: out}) {
-				return false
-			}
-			return sp.limit < 0 || emitted < sp.limit
-		})
-		if err == nil {
-			err = chargeErr
-		}
-		if err != nil {
-			yield(vecBatch{err: err})
-		}
-	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, nextBatch: next, stopBatch: stop, batchCols: sv.outCols}
-}
-
-// parallelVecCursor fans the scan out over the morsel pool with the
-// kernel pipeline running per batch inside each chunk. Per-chunk
-// output is capped at LIMIT rows (the final result takes at most that
-// many from any chunk), and the consumer stops pulling — canceling the
-// workers, so no further chunks are scheduled — once enough rows have
-// surfaced across the ordered prefix.
-func (e *Engine) parallelVecCursor(ctx context.Context, sp *streamPlan, chunks []array.ChunkScan, cols []Col) *Cursor {
-	sv := sp.vec
-	ictx, cancel := context.WithCancel(ctx)
-	type chunkBatch struct {
-		idx int
-		ds  *Dataset
-		err error
-	}
-	ch := make(chan chunkBatch, 2*e.pool.Workers())
-	started := false
-	start := func() {
-		started = true
-		go func() {
-			defer close(ch)
-			err := e.pool.ForEachCtx(ictx, len(chunks), 1, func(m parallelMorsel) error {
-				for ci := m.Lo; ci < m.Hi; ci++ {
-					out := &Dataset{Cols: sv.outCols, Vecs: make([]bat.Vector, len(sv.outCols))}
-					for i, c := range sv.outCols {
-						out.Vecs[i] = bat.New(c.Typ, 0)
-					}
-					err := e.vecScanBatches(ictx, sp, chunks[ci], func(in *Dataset) bool {
-						if in.NumRows() == 0 {
-							return true
-						}
-						max := -1
-						if sp.limit >= 0 {
-							max = sp.limit - out.NumRows()
-						}
-						b := e.vecProcessBatch(sp, in, max)
-						for i := range out.Vecs {
-							out.Vecs[i] = bat.Concat(out.Vecs[i], b.Vecs[i])
-						}
-						return sp.limit < 0 || out.NumRows() < sp.limit
-					})
-					if err != nil {
-						return err
-					}
-					if err := chargeBudget(sp.budget, approxDatasetBytes(out)); err != nil {
-						return err
-					}
-					select {
-					case ch <- chunkBatch{idx: ci, ds: out}:
-					case <-ictx.Done():
-						return ictx.Err()
-					}
-				}
-				return nil
 			})
-			if err != nil {
-				select {
-				case ch <- chunkBatch{err: err}:
-				case <-ictx.Done():
-				}
-			}
-		}()
-	}
-	seq := func(yield func(vecBatch) bool) {
-		defer cancel()
-		if !started {
-			start()
-		}
-		pending := make(map[int]*Dataset)
-		nextIdx := 0
-		emitted := 0
-		for b := range ch {
-			if b.err != nil {
-				yield(vecBatch{err: b.err})
+			if gone {
 				return
 			}
-			pending[b.idx] = b.ds
+			if err == nil {
+				err = batchErr
+			}
+			if err != nil {
+				yield(rowBatch{err: err})
+				return
+			}
+		}
+	}
+}
+
+// parallelStream fans the chunks out over the morsel pool, each worker
+// running its chunk's batches through the pipeline, and hands the
+// consumer the chunk outputs re-ordered by chunk ordinal — chunk
+// concatenation order equals serial scan order, so the stream is
+// identical to the serial one. Per-chunk output is capped at LIMIT rows
+// (the result takes at most that many from any chunk); once enough
+// rows have surfaced across the ordered prefix the consumer returns,
+// which cancels ctx and stops the workers scheduling further chunks.
+// Workers start on the first pull. Sends select on ctx.Done(), so
+// canceling the query (or closing the cursor early) leaks no goroutine.
+func (e *Engine) parallelStream(ctx context.Context, cancel context.CancelFunc, sp *streamPlan, chunks []array.ColumnChunk) iter.Seq[rowBatch] {
+	type chunkOut struct {
+		idx int
+		out rowBatch
+	}
+	// Room for every worker to park a finished chunk while one more is
+	// in flight, so a slow consumer does not stall the pool at once.
+	ch := make(chan chunkOut, 2*e.pool.Workers())
+	produce := func() {
+		defer close(ch)
+		err := e.forEachChunk(ctx, sp.par, len(chunks), func(ci int) error {
+			var out rowBatch
+			var batchErr error
+			err := e.scanChunk(ctx, &sp.scanSource, chunks[ci], func(in *Dataset) bool {
+				max := -1
+				if sp.limit >= 0 {
+					max = sp.limit - out.numRows()
+				}
+				var b rowBatch
+				if b, batchErr = e.streamBatch(sp, in, max); batchErr != nil {
+					return false
+				}
+				out.add(b)
+				return sp.limit < 0 || out.numRows() < sp.limit
+			})
+			if err == nil {
+				err = batchErr
+			}
+			if err == nil {
+				err = chargeBudget(sp.budget, out.approxBytes())
+			}
+			if err != nil {
+				return err
+			}
+			select {
+			case ch <- chunkOut{idx: ci, out: out}:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
+		if err != nil {
+			select {
+			case ch <- chunkOut{out: rowBatch{err: err}}:
+			case <-ctx.Done():
+			}
+		}
+	}
+	return func(yield func(rowBatch) bool) {
+		defer cancel()
+		go produce()
+		pending := make(map[int]rowBatch)
+		next, emitted := 0, 0
+		for c := range ch {
+			if c.out.err != nil {
+				yield(c.out)
+				return
+			}
+			pending[c.idx] = c.out
 			for {
-				ds, have := pending[nextIdx]
+				out, have := pending[next]
 				if !have {
 					break
 				}
-				delete(pending, nextIdx)
-				nextIdx++
-				if sp.limit >= 0 && emitted+ds.NumRows() > sp.limit {
-					ds = headRows(ds, sp.limit-emitted)
+				delete(pending, next)
+				next++
+				if sp.limit >= 0 && emitted+out.numRows() > sp.limit {
+					out.head(sp.limit - emitted)
 				}
-				emitted += ds.NumRows()
-				if ds.NumRows() > 0 && !yield(vecBatch{ds: ds}) {
+				emitted += out.numRows()
+				if out.numRows() > 0 && !yield(out) {
 					return
 				}
 				if sp.limit >= 0 && emitted >= sp.limit {
@@ -1203,15 +925,4 @@ func (e *Engine) parallelVecCursor(ctx context.Context, sp *streamPlan, chunks [
 			}
 		}
 	}
-	next, stop := iter.Pull(seq)
-	return &Cursor{cols: cols, items: sp.items, nextBatch: next, stopBatch: stop, batchCols: sv.outCols, cancel: cancel}
-}
-
-// headRows returns the first k rows of ds as a fresh dataset.
-func headRows(ds *Dataset, k int) *Dataset {
-	out := &Dataset{Cols: ds.Cols, Vecs: make([]bat.Vector, len(ds.Vecs))}
-	for i, v := range ds.Vecs {
-		out.Vecs[i] = v.Slice(0, k)
-	}
-	return out
 }

@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/array"
+	"repro/internal/bat"
 	"repro/internal/value"
 )
 
@@ -394,14 +396,81 @@ func renderScan(scan array.ChunkScan) []string {
 	return out
 }
 
-// TestScanChunksMatchScan pins the chunk contract on every scheme:
-// concatenating the chunks in order reproduces Scan exactly, for any
-// target chunk count, and attribute pruning never changes which cells
-// are visited (liveness is judged on all attributes).
+// batchLines renders a column batch in renderScan's line format.
+func batchLines(b array.ColumnBatch, nd int) []string {
+	var out []string
+	for r := 0; r < b.Rows(); r++ {
+		line := ""
+		for i, v := range b {
+			switch {
+			case i == 0:
+			case i < nd:
+				line += ","
+			case i == nd:
+				line += ":"
+			default:
+				line += "|"
+			}
+			line += v.Get(r).String()
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+// renderColumns flattens column chunks, walked in batches of at most
+// max rows, into renderScan's line format.
+func renderColumns(chunks []array.ColumnChunk, max, nd int) []string {
+	var out []string
+	for _, chunk := range chunks {
+		chunk(max, func(b array.ColumnBatch) bool {
+			if b.Rows() == 0 || b.Rows() > max {
+				panic(fmt.Sprintf("batch of %d rows, want 1..%d", b.Rows(), max))
+			}
+			out = append(out, batchLines(b, nd)...)
+			return true
+		})
+	}
+	return out
+}
+
+func sameLines(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s row %d: %q != %q", label, i, got[i], want[i])
+		}
+	}
+}
+
+// chunkTestStores is allSchemes plus the adaptive default.
+func chunkTestStores(t *testing.T, sch array.Schema) map[string]array.Store {
+	out := allSchemes(t, sch)
+	st, err := New(sch, Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["adaptive"] = st
+	return out
+}
+
+// TestScanChunksMatchScan pins the chunk contract on every scheme, for
+// the boxed and the columnar face alike: concatenating the chunks in
+// order reproduces Scan exactly — cells, order, coordinates, NULLs and
+// holes — for any target chunk count and batch size, attribute pruning
+// never changes which cells are visited (liveness is judged on all
+// attributes), chunk i covers the cells ChunkStats(target)[i]
+// describes, and a dimension restriction admits exactly the cells its
+// ranges contain. The 13x13 array spans three bitmap words, so every
+// chunk boundary (169/3, 169/32) and batch boundary (7, 50) falls
+// inside a word.
 func TestScanChunksMatchScan(t *testing.T) {
-	const n = 9
+	const n = 13
 	sch := chunkTestSchema(n)
-	for name, st := range allSchemes(t, sch) {
+	for name, st := range chunkTestStores(t, sch) {
 		// Sparse-ish fill; cell (2,3) is live only through attribute b,
 		// so a scan pruned to attribute a must still visit it (as NULL).
 		for x := int64(0); x < n; x++ {
@@ -411,6 +480,11 @@ func TestScanChunksMatchScan(t *testing.T) {
 				}
 				if err := st.Set([]int64{x, y}, 0, value.NewFloat(float64(x*n+y))); err != nil {
 					t.Fatal(err)
+				}
+				if (x*y)%5 == 0 {
+					if err := st.Set([]int64{x, y}, 1, value.NewInt(x-y)); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -424,53 +498,135 @@ func TestScanChunksMatchScan(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: store does not implement ChunkedScanner", name)
 		}
+		cc, ok := st.(array.ColumnScanner)
+		if !ok {
+			t.Fatalf("%s: store does not implement ColumnScanner", name)
+		}
 		want := renderScan(st.Scan)
-		for _, target := range []int{1, 2, 5, 100} {
+		for _, target := range []int{1, 3, 32, 100} {
 			chunks := cs.ScanChunks(target, nil)
 			var got []string
 			for _, c := range chunks {
 				got = append(got, renderScan(c)...)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s target=%d: %d rows, want %d", name, target, len(got), len(want))
+			sameLines(t, fmt.Sprintf("%s target=%d", name, target), got, want)
+			cols := cc.ColumnChunks(target, nil, nil)
+			stats := st.(array.StatsProvider).ChunkStats(target)
+			if len(cols) != len(chunks) || len(stats) != len(chunks) {
+				t.Fatalf("%s target=%d: %d boxed chunks, %d column chunks, %d chunk stats", name, target, len(chunks), len(cols), len(stats))
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s target=%d row %d: %q != %q", name, target, i, got[i], want[i])
+			for _, max := range []int{7, 50, 4096} {
+				sameLines(t, fmt.Sprintf("%s target=%d max=%d columnar", name, target, max), renderColumns(cols, max, 2), want)
+			}
+			for ci := range chunks {
+				label := fmt.Sprintf("%s target=%d chunk %d", name, target, ci)
+				cells := renderColumns(cols[ci:ci+1], 7, 2)
+				sameLines(t, label, cells, renderScan(chunks[ci]))
+				if int64(len(cells)) != stats[ci].Rows {
+					t.Fatalf("%s: %d cells, zone map says %d", label, len(cells), stats[ci].Rows)
 				}
 			}
 		}
-		// Pruned to attribute b only: same cells, vals[0] = attribute 1.
-		var prunedCells, prunedB []string
+		// Pruned to attribute b only: same cells, the one column is b.
+		var wantB []string
+		st.Scan(func(coords []int64, vals []value.Value) bool {
+			wantB = append(wantB, fmt.Sprintf("%d,%d:%s", coords[0], coords[1], vals[1]))
+			return true
+		})
+		var prunedB []string
 		for _, c := range cs.ScanChunks(3, []int{1}) {
-			c(func(coords []int64, vals []value.Value) bool {
-				prunedCells = append(prunedCells, value.NewInt(coords[0]).String()+","+value.NewInt(coords[1]).String())
-				prunedB = append(prunedB, vals[0].String())
+			prunedB = append(prunedB, renderScan(c)...)
+		}
+		sameLines(t, name+" pruned", prunedB, wantB)
+		sameLines(t, name+" pruned columnar", renderColumns(cc.ColumnChunks(3, []int{1}, nil), 7, 2), wantB)
+		// Dimensions only: liveness still comes from the attributes.
+		if got := renderColumns(cc.ColumnChunks(3, []int{}, nil), 50, 2); len(got) != len(want) {
+			t.Fatalf("%s dims-only: %d cells, want %d", name, len(got), len(want))
+		}
+		// Restrictions: contiguous on either dimension, a point, strides,
+		// ranges past the bounds, and an empty range.
+		full := array.DimRange{Full: true}
+		for _, restrict := range [][]array.DimRange{
+			{{Lo: 2, Hi: 9, Step: 1}, full},
+			{full, {Lo: 5, Hi: 11, Step: 1}},
+			{{Lo: 1, Hi: 12, Step: 1}, {Lo: 3, Hi: 4, Step: 1}},
+			{{Lo: 4, Hi: 5, Step: 1}, {Lo: 6, Hi: 7, Step: 1}},
+			{{Lo: 1, Hi: 13, Step: 4}, {Lo: 0, Hi: 13, Step: 3}},
+			{{Lo: -50, Hi: 1 << 62, Step: 1}, {Lo: -1 << 62, Hi: 7, Step: 1}},
+			{{Lo: 20, Hi: 30, Step: 1}, full},
+			{{Lo: 6, Hi: 6, Step: 1}, full},
+		} {
+			var wantR []string
+			for _, line := range want {
+				var x, y int64
+				fmt.Sscanf(line, "%d,%d:", &x, &y)
+				if restrict[0].Contains(x) && restrict[1].Contains(y) {
+					wantR = append(wantR, line)
+				}
+			}
+			for _, target := range []int{1, 3, 32} {
+				got := renderColumns(cc.ColumnChunks(target, nil, restrict), 7, 2)
+				sameLines(t, fmt.Sprintf("%s target=%d restrict=%v", name, target, restrict), got, wantR)
+			}
+		}
+	}
+}
+
+// TestColumnChunksAreViewsNeverWrittenThrough: a dense scheme without
+// holes hands out views of its own columns (no copy), a view's
+// capacity stops at its last element so appending to it cannot touch
+// the store, and mutating a clone — what every engine write does —
+// leaves batches taken from the original unchanged.
+func TestColumnChunksAreViewsNeverWrittenThrough(t *testing.T) {
+	sch := schema2D(13, 1.5, true)
+	for name, st := range chunkTestStores(t, sch) {
+		var batches []array.ColumnBatch
+		for _, c := range st.(array.ColumnScanner).ColumnChunks(3, nil, nil) {
+			c(50, func(b array.ColumnBatch) bool {
+				batches = append(batches, b)
 				return true
 			})
 		}
-		var wantCells, wantB []string
-		st.Scan(func(coords []int64, vals []value.Value) bool {
-			wantCells = append(wantCells, value.NewInt(coords[0]).String()+","+value.NewInt(coords[1]).String())
-			wantB = append(wantB, vals[1].String())
-			return true
-		})
-		if len(prunedCells) != len(wantCells) {
-			t.Fatalf("%s pruned: %d cells, want %d", name, len(prunedCells), len(wantCells))
+		render := func() (out []string) {
+			for _, b := range batches {
+				out = append(out, batchLines(b, 2)...)
+			}
+			return out
 		}
-		for i := range wantCells {
-			if prunedCells[i] != wantCells[i] || prunedB[i] != wantB[i] {
-				t.Fatalf("%s pruned row %d: cell %s val %s, want cell %s val %s",
-					name, i, prunedCells[i], prunedB[i], wantCells[i], wantB[i])
+		before := render()
+		if len(before) != 169 {
+			t.Fatalf("%s: %d cells, want 169", name, len(before))
+		}
+		if ls, ok := st.(*linearStore); ok {
+			pos := 0
+			for _, b := range batches {
+				data := b[2].(*bat.FloatVector).Floats()
+				if &data[0] != &ls.cols[0].f[pos] {
+					t.Errorf("%s: batch at position %d is a copy, want a view of the column", name, pos)
+				}
+				if cap(data) != len(data) {
+					t.Errorf("%s: view capacity %d exceeds its length %d", name, cap(data), len(data))
+				}
+				pos += len(data)
 			}
 		}
+		clone := st.Clone()
+		for x := int64(0); x < 13; x++ {
+			if err := clone.Set([]int64{x, x}, 0, value.NewFloat(-1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := clone.Set([]int64{x, 0}, 0, value.NewNull(value.Float)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameLines(t, name+" after mutating a clone", render(), before)
 	}
 }
 
 // TestScanChunksEarlyStop: returning false stops only that chunk.
 func TestScanChunksEarlyStop(t *testing.T) {
 	sch := schema2D(8, 1, true)
-	for name, st := range allSchemes(t, sch) {
+	for name, st := range chunkTestStores(t, sch) {
 		cs := st.(array.ChunkedScanner)
 		chunks := cs.ScanChunks(4, nil)
 		for _, c := range chunks {
@@ -481,6 +637,16 @@ func TestScanChunksEarlyStop(t *testing.T) {
 			})
 			if count != 1 {
 				t.Fatalf("%s: early-stopped chunk visited %d cells", name, count)
+			}
+		}
+		for _, c := range st.(array.ColumnScanner).ColumnChunks(4, nil, nil) {
+			batches := 0
+			c(3, func(b array.ColumnBatch) bool {
+				batches++
+				return false
+			})
+			if batches != 1 {
+				t.Fatalf("%s: early-stopped column chunk yielded %d batches", name, batches)
 			}
 		}
 	}

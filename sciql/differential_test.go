@@ -15,18 +15,27 @@ var diffSchemes = []string{"", "virtual", "slab", "tabular", "dorder"}
 // diffDB builds a 96x96 grid (9216 cells, above the chunked-parallel
 // gate) with two dense float attributes and one mostly-NULL integer
 // attribute, so generated queries exercise promotion, NULL semantics
-// and holes under every storage scheme.
+// and holes under every storage scheme — and a second array, holes,
+// declared without DEFAULTs, loaded in part and partly deleted again,
+// so a seventh of its cells (and more, after the DELETE) are holes
+// scattered through every chunk and bitmap word.
 func diffDB(t testing.TB, scheme string) *DB {
 	t.Helper()
 	db := Open()
 	if scheme != "" {
 		db.SetStorageHint("grid", scheme, 16)
+		db.SetStorageHint("holes", scheme, 16)
 	}
+
 	db.MustExec(`CREATE ARRAY grid (x INTEGER DIMENSION[96], y INTEGER DIMENSION[96],
 		a FLOAT DEFAULT 0.0, b FLOAT DEFAULT 1.0, c INTEGER)`)
 	db.MustExec(`UPDATE grid SET a = x * 96 + y`)
 	db.MustExec(`UPDATE grid SET b = x - y`)
 	db.MustExec(`UPDATE grid SET c = MOD(x * 7 + y * 3, 13) WHERE MOD(x + y, 4) = 0`)
+	db.MustExec(`CREATE ARRAY holes (x INTEGER DIMENSION[96], y INTEGER DIMENSION[96], p FLOAT, q INTEGER)`)
+	db.MustExec(`INSERT INTO holes SELECT x, y, a / 4, MOD(x + y * 5, 11) FROM grid WHERE MOD(x * 5 + y, 7) <> 0`)
+	db.MustExec(`UPDATE holes SET q = NULL WHERE MOD(x + y, 5) = 0`)
+	db.MustExec(`DELETE FROM holes WHERE MOD(x, 9) = 4 AND y > 30`)
 	return db
 }
 
@@ -156,6 +165,100 @@ func (g *queryGen) query() string {
 	return q
 }
 
+// aggQuery yields a single-array aggregation: plain aggregates or
+// GROUP BY on up to two keys (a nullable attribute among them, so a
+// NULL group exists), optionally with HAVING, over the dense grid or
+// the holes array, over the whole array or a FROM slice, with
+// dimension predicates (which push down into the scan) and attribute
+// predicates in WHERE. Aggregate arguments stay exactly representable
+// (integers and quarters), so sums agree whatever order a scheme
+// scans in. Half the grouped queries carry no ORDER BY, pinning
+// first-encounter group order across execution modes; LIMIT only
+// rides on ORDER BY over the full key.
+func (g *queryGen) aggQuery() string {
+	arr, attrs, nullable := "grid", []string{"a", "b", "c"}, "c"
+	if g.r.Intn(2) == 0 {
+		arr, attrs, nullable = "holes", []string{"p", "q"}, "q"
+	}
+	arg := func() string {
+		c := attrs[g.r.Intn(len(attrs))]
+		switch g.r.Intn(4) {
+		case 0:
+			return fmt.Sprintf("(%s + x)", c)
+		case 1:
+			return fmt.Sprintf("(%s * 2 - y)", c)
+		default:
+			return c
+		}
+	}
+	aggs := []string{"COUNT(*)"}
+	for i, n := 0, 1+g.r.Intn(3); i < n; i++ {
+		aggs = append(aggs, fmt.Sprintf("%s(%s)", g.pick("SUM", "AVG", "MIN", "MAX", "COUNT"), arg()))
+	}
+	var keys []string
+	for i, n := 0, g.r.Intn(3); i < n; i++ {
+		switch g.r.Intn(4) {
+		case 0:
+			keys = append(keys, nullable)
+		case 1:
+			keys = append(keys, fmt.Sprintf("MOD(x + y, %d)", 2+g.r.Intn(5)))
+		case 2:
+			keys = append(keys, fmt.Sprintf("(y / %d)", 8+g.r.Intn(40)))
+		default:
+			keys = append(keys, "x")
+		}
+	}
+	items := make([]string, 0, len(keys)+len(aggs))
+	var names []string
+	for i, k := range keys {
+		names = append(names, fmt.Sprintf("k%d", i))
+		items = append(items, fmt.Sprintf("%s AS k%d", k, i))
+	}
+	from := arr
+	if g.r.Intn(3) == 0 {
+		xl, yl := g.r.Intn(60), g.r.Intn(60)
+		from = fmt.Sprintf("%s[%d:%d][%d:%d]", arr, xl, xl+5+g.r.Intn(60), yl, yl+5+g.r.Intn(60))
+		if g.r.Intn(3) == 0 {
+			from = fmt.Sprintf("%s[%d:%d:%d][*]", arr, xl, xl+20+g.r.Intn(40), 2+g.r.Intn(4))
+		}
+	}
+	q := fmt.Sprintf("SELECT %s FROM %s", strings.Join(append(items, aggs...), ", "), from)
+	var conds []string
+	if g.r.Intn(2) == 0 {
+		lo := g.r.Intn(70)
+		conds = append(conds, g.pick(
+			fmt.Sprintf("x >= %d AND x < %d", lo, lo+1+g.r.Intn(40)),
+			fmt.Sprintf("y = %d", lo),
+			fmt.Sprintf("y BETWEEN %d AND %d AND x > %d", lo, lo+g.r.Intn(30), g.r.Intn(50))))
+	}
+	if g.r.Intn(2) == 0 {
+		conds = append(conds, g.pick(
+			fmt.Sprintf("%s > %d", attrs[0], g.r.Intn(2000)),
+			fmt.Sprintf("%s IS %sNULL", nullable, g.pick("", "NOT ")),
+			fmt.Sprintf("MOD(x * %d + y, %d) < %d", 1+g.r.Intn(31), 3+g.r.Intn(9), 1+g.r.Intn(3)),
+			fmt.Sprintf("(%s < %d OR %s = %d)", attrs[0], g.r.Intn(3000), nullable, g.r.Intn(11))))
+	}
+	if len(conds) > 0 {
+		q += " WHERE " + strings.Join(conds, " AND ")
+	}
+	if len(keys) > 0 {
+		q += " GROUP BY " + strings.Join(keys, ", ")
+	}
+	if g.r.Intn(3) == 0 {
+		q += " HAVING " + g.pick(
+			fmt.Sprintf("COUNT(*) > %d", g.r.Intn(40)),
+			fmt.Sprintf("MIN(%s) IS NOT NULL", nullable),
+			fmt.Sprintf("SUM(%s) < %d", attrs[0], 10000+g.r.Intn(200000)))
+	}
+	if len(keys) > 0 && g.r.Intn(2) == 0 {
+		q += " ORDER BY " + strings.Join(names, ", ")
+		if g.r.Intn(2) == 0 {
+			q += fmt.Sprintf(" LIMIT %d", 1+g.r.Intn(12))
+		}
+	}
+	return q
+}
+
 // joinQuery yields a two-source hash-join SELECT. The right side is a
 // small slice so the output stays bounded; every column is qualified,
 // both because two sources are in scope and because the zone-map
@@ -187,15 +290,19 @@ func (g *queryGen) joinQuery() string {
 
 // diffQueries is the deterministic random query set: a fixed seed, so
 // every run, every scheme and every engine configuration sees exactly
-// the same SQL. The tail adds hash-join shapes over the same grid.
+// the same SQL. After the scan shapes come hash-join shapes over the
+// same grid, then the chunk-wise aggregation shapes.
 func diffQueries() []string {
 	g := &queryGen{r: rand.New(rand.NewSource(0x5c191))}
-	out := make([]string, 0, 32)
+	out := make([]string, 0, 64)
 	for len(out) < 24 {
 		out = append(out, g.query())
 	}
 	for len(out) < 32 {
 		out = append(out, g.joinQuery())
+	}
+	for len(out) < 64 {
+		out = append(out, g.aggQuery())
 	}
 	return out
 }
