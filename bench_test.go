@@ -371,26 +371,33 @@ func newParBenchDB(b *testing.B, n int) *sciql.DB {
 	return db
 }
 
-// BenchmarkParallelTiling is P1: the §4.4 tiled aggregation executed
-// serially and morsel-parallel. Anchors are the morsels; per-worker
-// partial aggregates merge at the end. Expected shape on a multi-core
-// host: near-linear scaling (>= 1.8x at 4 workers); identical result
-// datasets at every width.
+// BenchmarkParallelTiling is P1: §4.4 tiled aggregation executed
+// serially and morsel-parallel — DISTINCT tiles over a bare attribute,
+// and sliding tiles over an expression argument (a derived window
+// column). Anchors are the morsels; every anchor folds its tile cells
+// into a state of its own, so nothing merges at the end. Expected shape
+// on a multi-core host: near-linear scaling (>= 1.8x at 4 workers);
+// identical result datasets at every width.
 func BenchmarkParallelTiling(b *testing.B) {
 	const n = 96
 	db := newParBenchDB(b, n)
-	const q = `SELECT [x], [y], AVG(v) FROM pmatrix GROUP BY DISTINCT pmatrix[x:x+4][y:y+4]`
-	want := db.MustQuery(q).String()
-	for _, par := range []int{1, 2, 4} {
-		db.Parallelism(par)
-		if got := db.MustQuery(q).String(); got != want {
-			b.Fatalf("parallelism %d changed the result", par)
-		}
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				db.MustQuery(q)
+	for _, tc := range []struct{ name, q string }{
+		{"distinct", `SELECT [x], [y], AVG(v) FROM pmatrix GROUP BY DISTINCT pmatrix[x:x+4][y:y+4]`},
+		{"sliding", `SELECT [x], [y], SUM(v * 2 - x), COUNT(*) FROM pmatrix GROUP BY pmatrix[x-1:x+2][y-1:y+2]`},
+	} {
+		db.Parallelism(1)
+		want := db.MustQuery(tc.q).String()
+		for _, par := range []int{1, 2, 4} {
+			db.Parallelism(par)
+			if got := db.MustQuery(tc.q).String(); got != want {
+				b.Fatalf("%s: parallelism %d changed the result", tc.name, par)
 			}
-		})
+			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					db.MustQuery(tc.q)
+				}
+			})
+		}
 	}
 }
 
@@ -571,19 +578,25 @@ func BenchmarkParallelJoin(b *testing.B) {
 		`CREATE ARRAY jl (x INTEGER DIMENSION[%d], y INTEGER DIMENSION[%d], v FLOAT DEFAULT 0.0)`, n, n))
 	db.MustExec(fmt.Sprintf(`UPDATE jl SET v = x * %d + y`, n))
 	db.MustExec(`CREATE ARRAY jr (x INTEGER DIMENSION[64], y INTEGER DIMENSION[64], s FLOAT DEFAULT 3.0)`)
-	const q = `SELECT l.x, l.y, (l.v + r.s) AS e FROM jl AS l JOIN jr AS r ON l.x = r.x AND l.y = r.y`
-	db.Parallelism(1)
-	want := db.MustQuery(q).String()
-	for _, par := range []int{1, 2, 4} {
-		db.Parallelism(par)
-		if got := db.MustQuery(q).String(); got != want {
-			b.Fatalf("parallelism %d changed the join result", par)
-		}
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				db.MustQuery(q)
+	for _, tc := range []struct{ name, q string }{
+		// Two integer key columns: two raw words per key.
+		{"dims", `SELECT l.x, l.y, (l.v + r.s) AS e FROM jl AS l JOIN jr AS r ON l.x = r.x AND l.y = r.y`},
+		// A FLOAT attribute against an INTEGER dimension: one numeric word.
+		{"attr", `SELECT l.x, l.y, r.y AS ry FROM jl AS l JOIN jr[0:64][0:2] AS r ON l.v = r.x`},
+	} {
+		db.Parallelism(1)
+		want := db.MustQuery(tc.q).String()
+		for _, par := range []int{1, 2, 4} {
+			db.Parallelism(par)
+			if got := db.MustQuery(tc.q).String(); got != want {
+				b.Fatalf("%s: parallelism %d changed the join result", tc.name, par)
 			}
-		})
+			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					db.MustQuery(tc.q)
+				}
+			})
+		}
 	}
 }
 

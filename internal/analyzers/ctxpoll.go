@@ -26,6 +26,14 @@ import (
 //   - a call forwarding to another visitor value of the same kind (a
 //     wrapper: its callee polls, it must not).
 //
+// The typed row-key table (bat.RowKeys / bat.KeyTable) is the other
+// chunk-scale iteration of internal/exec: hash-join builds, DISTINCT and
+// the hashed tiling window extract and insert keys block by block in
+// plain for loops. A loop that calls RowKeys.Fill or KeyTable.Build
+// must poll the same way, once per block. (Calls outside a loop — one
+// morsel of a pool fan-out, which polls between morsels itself — are
+// not loops and not checked.)
+//
 // PR 10 extends the same convention to the network server's
 // connection read loops in internal/server/pgwire: any for-loop that
 // pulls protocol frames (Reader.Peek under a poll deadline, or
@@ -40,7 +48,7 @@ import (
 // //lint:allow ctxpoll <reason>.
 var CtxPoll = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc: "store-scan visitor literals (per cell and per column batch) in internal/exec must " +
+	Doc: "store-scan visitor literals (per cell and per column batch) and key-table build loops in internal/exec must " +
 		"poll ctx.Err()/Done() or Engine.canceled() so cancellation stops chunk-scale scans; connection read " +
 		"loops in internal/server/pgwire must poll a shutdown context between frames",
 	Run: runCtxPoll,
@@ -58,15 +66,26 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			var loop *ast.BlockStmt
+			switch x := n.(type) {
+			case *ast.ForStmt:
+				loop = x.Body
+			case *ast.RangeStmt:
+				loop = x.Body
+			}
+			if loop != nil && loopBuildsKeys(pass, loop) && !polls(pass, loop) {
+				pass.Reportf(n.Pos(),
+					"key-table build loop without a cancellation poll: check ctx.Err()/Done() or e.canceled() once per block of rows")
+			}
 			lit, ok := n.(*ast.FuncLit)
 			if !ok {
 				return true
 			}
 			switch t := pass.TypeOf(lit); {
-			case isCellVisitor(t) && !visitorPolls(pass, lit):
+			case isCellVisitor(t) && !polls(pass, lit.Body):
 				pass.Reportf(lit.Pos(),
 					"store-scan visitor without a cancellation poll: check ctx.Err()/Done() or e.canceled() periodically (e.g. every visited&1023 cells)")
-			case isBatchVisitor(t) && !visitorPolls(pass, lit):
+			case isBatchVisitor(t) && !polls(pass, lit.Body):
 				pass.Reportf(lit.Pos(),
 					"column-batch visitor without a cancellation poll: check ctx.Err()/Done() or e.canceled() once per batch")
 			}
@@ -152,11 +171,27 @@ func containsCtxPoll(pass *analysis.Pass, node ast.Node) bool {
 	return found
 }
 
-// visitorPolls reports whether the literal's body contains a
-// cancellation poll or forwards to another visitor.
-func visitorPolls(pass *analysis.Pass, lit *ast.FuncLit) bool {
+// loopBuildsKeys reports whether body calls RowKeys.Fill or
+// KeyTable.Build — a block of the typed row-key table's construction.
+func loopBuildsKeys(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if recv, method, ok := methodCall(call); ok {
+				found = method == "Fill" && isNamedType(pass.TypeOf(recv), "bat", "RowKeys") ||
+					method == "Build" && isNamedType(pass.TypeOf(recv), "bat", "KeyTable")
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// polls reports whether body (a visitor literal's or a loop's) contains
+// a cancellation poll or forwards to another visitor.
+func polls(pass *analysis.Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}

@@ -106,20 +106,6 @@ func TestBATSelect(t *testing.T) {
 	}
 }
 
-func TestBATHashJoin(t *testing.T) {
-	l := NewBAT(NewIntVector([]int64{1, 2, 3, 2}))
-	r := NewBAT(NewIntVector([]int64{2, 4, 2}))
-	li, ri := l.HashJoin(r)
-	if len(li) != 4 || len(ri) != 4 {
-		t.Fatalf("join produced %d pairs, want 4 (2x2 matches)", len(li))
-	}
-	for k := range li {
-		if l.Tail.Get(li[k]).I != r.Tail.Get(ri[k]).I {
-			t.Errorf("pair %d keys differ", k)
-		}
-	}
-}
-
 func TestBATSortPerm(t *testing.T) {
 	b := NewBAT(NewIntVector([]int64{3, 1, 2}))
 	b.Tail.Append(value.NewNull(value.Int))

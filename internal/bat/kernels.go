@@ -431,6 +431,20 @@ func PowCFloat64(c float64, a *FloatVector) *FloatVector {
 	return out
 }
 
+// Int64s returns a column's values as integers: an Int or Timestamp
+// column's own backing slice (NULLs read 0), anything else converted
+// value by value like value.AsInt.
+func Int64s(v Vector) []int64 {
+	if iv, ok := v.(*IntVector); ok {
+		return iv.data
+	}
+	out := make([]int64, v.Len())
+	for i := range out {
+		out[i] = v.Get(i).AsInt()
+	}
+	return out
+}
+
 // ToFloat64 promotes an integer (or timestamp) vector to float, the
 // way value.AsFloat does inside mixed-type arithmetic.
 func ToFloat64(a *IntVector) *FloatVector {

@@ -471,43 +471,6 @@ func (b *BAT) SelectRangeFloat(lo, hi float64) []int {
 	return out
 }
 
-// HashJoin joins this BAT's tail against other's tail on equality and
-// returns matching position pairs (left pos, right pos).
-func (b *BAT) HashJoin(other *BAT) (left, right []int) {
-	// Build on the smaller side.
-	build, probe := b, other
-	swapped := false
-	if probe.Len() < build.Len() {
-		build, probe = probe, build
-		swapped = true
-	}
-	idx := make(map[string][]int, build.Len())
-	for i := 0; i < build.Len(); i++ {
-		v := build.Tail.Get(i)
-		if v.Null {
-			continue
-		}
-		k := v.String()
-		idx[k] = append(idx[k], i)
-	}
-	for j := 0; j < probe.Len(); j++ {
-		v := probe.Tail.Get(j)
-		if v.Null {
-			continue
-		}
-		for _, i := range idx[v.String()] {
-			if swapped {
-				left = append(left, j)
-				right = append(right, i)
-			} else {
-				left = append(left, i)
-				right = append(right, j)
-			}
-		}
-	}
-	return left, right
-}
-
 // SortPerm returns a permutation that orders the tail ascending
 // (NULLs first), mirroring MonetDB's order index.
 func (b *BAT) SortPerm() []int {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -23,39 +21,6 @@ import (
 // order, the source row a group shows for its non-aggregated columns
 // and the order of float additions are therefore a pure function of
 // the partition, never of which worker ran what.
-
-// appendKey appends the type-tagged encoding of one group-key (or
-// DISTINCT) value: NULL is its own tag, so it can never collide with
-// the string 'NULL'; integers, timestamps and booleans are fixed-width
-// after their type tag; floats are their bits, with every NaN folded
-// to one pattern while -0.0 and 0.0 stay apart (exactly the groups
-// their printed forms used to make); strings — and opaque values, by
-// their printed form — are length-prefixed.
-func appendKey(buf []byte, v value.Value) []byte {
-	if v.Null {
-		return append(buf, 0)
-	}
-	switch v.Typ {
-	case value.Int, value.Timestamp:
-		return binary.LittleEndian.AppendUint64(append(buf, byte(v.Typ)), uint64(v.I))
-	case value.Float:
-		return binary.LittleEndian.AppendUint64(append(buf, byte(v.Typ)), floatKeyBits(v.F))
-	case value.Bool:
-		if v.B {
-			return append(buf, byte(v.Typ), 1)
-		}
-		return append(buf, byte(v.Typ), 0)
-	}
-	s := v.String()
-	return append(binary.AppendUvarint(append(buf, byte(v.Typ)), uint64(len(s))), s...)
-}
-
-func floatKeyBits(f float64) uint64 {
-	if f != f {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
-}
 
 // groupAgg is the compiled grouping of one SELECT: the key expressions,
 // the aggregate calls collected out of the target list and HAVING
@@ -255,7 +220,7 @@ func (ga *groupAgg) assignGroups(p *aggPartial, in *Dataset, lo, hi int, sel []i
 		if !raw {
 			p.keyBuf = p.keyBuf[:0]
 			for _, kv := range keyVecs {
-				p.keyBuf = appendKey(p.keyBuf, kv.Get(i))
+				p.keyBuf = bat.AppendKey(p.keyBuf, kv.Get(i))
 			}
 			gids[k] = ga.lookup(p, in, lo+i)
 			continue
@@ -263,7 +228,7 @@ func (ga *groupAgg) assignGroups(p *aggPartial, in *Dataset, lo, hi int, sel []i
 		kv := keyVecs[0]
 		if hasNulls && kv.IsNull(i) {
 			if p.nullGroup < 0 {
-				p.nullGroup = ga.open(p, string(appendKey(nil, kv.Get(i))), in, lo+i)
+				p.nullGroup = ga.open(p, string(bat.AppendKey(nil, kv.Get(i))), in, lo+i)
 			}
 			gids[k] = p.nullGroup
 			continue
@@ -272,11 +237,11 @@ func (ga *groupAgg) assignGroups(p *aggPartial, in *Dataset, lo, hi int, sel []i
 		if ints != nil {
 			b = uint64(ints[i])
 		} else {
-			b = floatKeyBits(floats[i])
+			b = bat.FloatKeyBits(floats[i])
 		}
 		g, ok := p.ints[b]
 		if !ok {
-			g = ga.open(p, string(appendKey(nil, kv.Get(i))), in, lo+i)
+			g = ga.open(p, string(bat.AppendKey(nil, kv.Get(i))), in, lo+i)
 			p.ints[b] = g
 		}
 		gids[k] = g
@@ -298,7 +263,7 @@ func (ga *groupAgg) foldRows(p *aggPartial, in *Dataset, lo int, sel []int, n in
 			if err != nil {
 				return err
 			}
-			p.keyBuf = appendKey(p.keyBuf, v)
+			p.keyBuf = bat.AppendKey(p.keyBuf, v)
 		}
 		g := ga.lookup(p, in, env.row)
 		for ci, c := range ga.ac.calls {
@@ -311,7 +276,7 @@ func (ga *groupAgg) foldRows(p *aggPartial, in *Dataset, lo int, sel []int, n in
 				return err
 			}
 			if c.Distinct {
-				k := string(appendKey(nil, v))
+				k := string(bat.AppendKey(nil, v))
 				if p.seen[ci][g][k] {
 					continue
 				}

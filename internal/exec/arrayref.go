@@ -3,7 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/array"
@@ -13,14 +13,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-func sortSliceInt64(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-func searchInt64s(xs []int64, v int64) int {
-	return sort.Search(len(xs), func(i int) bool { return xs[i] >= v })
-}
 
 // ceilDiv rounds the quotient toward +inf (b > 0).
 func ceilDiv(a, b int64) int64 {
@@ -82,100 +74,139 @@ type dimSel struct {
 	sparse bool
 }
 
-// resolveIndexers evaluates the indexer expressions of ref against
-// env, aligning them with the array's dimensions in declaration order.
-func (e *Engine) resolveIndexers(a *array.Array, ixs []ast.Indexer, env expr.Env) ([]dimSel, error) {
+// selBound is one bound expression of an indexer; a nil x means the
+// bound is absent. Structural grouping resolves the bounds that are
+// linear in one anchor variable once per statement (lin: anchor[av] + c,
+// or the constant c when av < 0) and evaluates only the others per
+// anchor.
+type selBound struct {
+	x   ast.Expr
+	lin bool
+	av  int
+	c   int64
+}
+
+// selSpec is one dimension's indexer with its bounds still open: sel
+// holds everything the bounds do not decide (the kind of selection, the
+// defaults of absent bounds), resolve fills in the rest.
+type selSpec struct {
+	sel               dimSel
+	val, lo, hi, step selBound
+	// snap marks a plain [lo:hi] on a stepped grid: a pure range that
+	// admits the grid's own cells in [lo, hi). It walks the grid stride
+	// with lo snapped up onto the grid phase — anchoring the dimension
+	// step at an off-phase slice bound would reject every existing cell.
+	snap                bool
+	gridStart, gridStep int64
+}
+
+// indexerSpecs aligns the indexers of an array reference with the
+// array's dimensions in declaration order.
+func indexerSpecs(a *array.Array, ixs []ast.Indexer) ([]selSpec, error) {
 	if len(ixs) > len(a.Schema.Dims) {
 		return nil, fmt.Errorf("array %s has %d dimensions, got %d indexers", a.Name, len(a.Schema.Dims), len(ixs))
 	}
-	out := make([]dimSel, len(a.Schema.Dims))
+	out := make([]selSpec, len(a.Schema.Dims))
 	// The bounding box is only needed for open-ended selections; point
 	// indexers (the convolution anchor lists) skip the computation.
 	var lo, hi []int64
-	var boundsErr error
 	boundsDone := false
 	bounds := func() bool {
 		if !boundsDone {
-			lo, hi, boundsErr = a.BoundingBox()
+			lo, hi, _ = a.BoundingBox()
 			boundsDone = true
 		}
-		return boundsErr == nil
+		return lo != nil
 	}
-	for di := range a.Schema.Dims {
-		d := a.Schema.Dims[di]
+	for di, d := range a.Schema.Dims {
 		sparse := d.Step == 0
 		step := d.Step
 		if step <= 0 {
 			step = 1
 		}
-		if di >= len(ixs) {
-			// Unindexed trailing dimensions select everything.
-			out[di] = dimSel{full: true, step: step, sparse: sparse}
-			if bounds() {
-				out[di].lo, out[di].hi = lo[di], hi[di]+step
-			}
-			continue
+		sp := &out[di]
+		var ix ast.Indexer
+		if di < len(ixs) { // unindexed trailing dimensions select everything
+			ix = ixs[di]
 		}
-		ix := ixs[di]
 		switch {
-		case ix.Star:
-			out[di] = dimSel{full: true, step: step, sparse: sparse}
-			if bounds() {
-				out[di].lo, out[di].hi = lo[di], hi[di]+step
+		case ix.Point != nil && !ix.Star:
+			sp.sel = dimSel{point: true, step: step, sparse: sparse}
+			sp.val.x = ix.Point
+		case ix.Range && !ix.Star:
+			sp.sel = dimSel{step: 1, sparse: sparse}
+			sp.lo.x, sp.hi.x, sp.step.x = ix.Start, ix.Stop, ix.Step
+			if (ix.Start == nil || ix.Stop == nil) && bounds() {
+				sp.sel.lo, sp.sel.hi = lo[di], hi[di]+step
 			}
-		case ix.Point != nil:
-			v, err := e.Ev.Eval(ix.Point, env)
-			if err != nil {
-				return nil, err
+			if ix.Step == nil && !sparse && step > 1 && d.Start != array.UnboundedLow {
+				sp.snap, sp.gridStart, sp.gridStep = true, d.Start, step
 			}
-			out[di] = dimSel{point: true, val: v.AsInt(), step: step, sparse: sparse}
-		case ix.Range:
-			s := dimSel{step: 1, sparse: sparse}
-			if ix.Start != nil {
-				v, err := e.Ev.Eval(ix.Start, env)
-				if err != nil {
-					return nil, err
-				}
-				s.lo = v.AsInt()
-			} else if bounds() {
-				s.lo = lo[di]
-			}
-			if ix.Stop != nil {
-				v, err := e.Ev.Eval(ix.Stop, env)
-				if err != nil {
-					return nil, err
-				}
-				s.hi = v.AsInt()
-			} else if bounds() {
-				s.hi = hi[di] + step
-			}
-			switch {
-			case ix.Step != nil:
-				// An explicit [lo:hi:step] stride is anchored at lo.
-				v, err := e.Ev.Eval(ix.Step, env)
-				if err != nil {
-					return nil, err
-				}
-				if v.AsInt() > 0 {
-					s.step = v.AsInt()
-				}
-			case !sparse && step > 1 && d.Start != array.UnboundedLow:
-				// A plain [lo:hi] on a stepped grid is a pure range: it
-				// admits the grid's own cells in [lo, hi). Walk the grid
-				// stride but snap lo up onto the grid phase — anchoring
-				// the dimension step at an off-phase slice bound would
-				// reject every existing cell.
-				s.step = step
-				if snapped := d.Start + ceilDiv(s.lo-d.Start, step)*step; snapped > s.lo {
-					s.lo = snapped
-				}
-			}
-			out[di] = s
 		default:
-			out[di] = dimSel{full: true, step: step, sparse: sparse}
+			sp.sel = dimSel{full: true, step: step, sparse: sparse}
 			if bounds() {
-				out[di].lo, out[di].hi = lo[di], hi[di]+step
+				sp.sel.lo, sp.sel.hi = lo[di], hi[di]+step
 			}
+		}
+	}
+	return out, nil
+}
+
+// resolve evaluates the open bounds through eval and returns the
+// selection.
+func (sp *selSpec) resolve(eval func(b *selBound) (int64, error)) (s dimSel, err error) {
+	s = sp.sel
+	if s.full {
+		return s, nil
+	}
+	if s.point {
+		s.val, err = eval(&sp.val)
+		return s, err
+	}
+	if sp.lo.x != nil {
+		if s.lo, err = eval(&sp.lo); err != nil {
+			return s, err
+		}
+	}
+	if sp.hi.x != nil {
+		if s.hi, err = eval(&sp.hi); err != nil {
+			return s, err
+		}
+	}
+	switch {
+	case sp.step.x != nil:
+		// An explicit [lo:hi:step] stride is anchored at lo.
+		v, err := eval(&sp.step)
+		if err != nil {
+			return s, err
+		}
+		if v > 0 {
+			s.step = v
+		}
+	case sp.snap:
+		s.step = sp.gridStep
+		if snapped := sp.gridStart + ceilDiv(s.lo-sp.gridStart, sp.gridStep)*sp.gridStep; snapped > s.lo {
+			s.lo = snapped
+		}
+	}
+	return s, nil
+}
+
+// resolveIndexers evaluates the indexer expressions of ref against
+// env, aligning them with the array's dimensions in declaration order.
+func (e *Engine) resolveIndexers(a *array.Array, ixs []ast.Indexer, env expr.Env) ([]dimSel, error) {
+	specs, err := indexerSpecs(a, ixs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]dimSel, len(specs))
+	for di := range specs {
+		out[di], err = specs[di].resolve(func(b *selBound) (int64, error) {
+			v, err := e.Ev.Eval(b.x, env)
+			return v.AsInt(), err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -270,7 +301,7 @@ func (c *dimValuesCache) values(a *array.Array, di int) ([]int64, error) {
 	for v := range set {
 		out = append(out, v)
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	c.vals[di] = out
 	return out, nil
 }
@@ -281,52 +312,33 @@ func (c *dimValuesCache) inRange(a *array.Array, di int, lo, hi int64) ([]int64,
 	if err != nil {
 		return nil, err
 	}
-	i := searchInt64s(vals, lo)
-	j := searchInt64s(vals, hi)
+	i, _ := slices.BinarySearch(vals, lo)
+	j, _ := slices.BinarySearch(vals, hi)
 	return vals[i:j], nil
 }
 
-func sortInt64s(xs []int64) {
-	// Insertion-free path via sort.Slice (stdlib only).
-	if len(xs) > 1 {
-		sortSliceInt64(xs)
-	}
-}
-
-// forEachSelCoord expands one resolved dimension selection into its
-// admitted coordinate values, in ascending order: a point yields its
-// value, sparse (order-only) ranges walk the existing coordinates via
-// the cache, and grid ranges step from lo by the selection stride.
+// selCoords expands one resolved dimension selection into its admitted
+// coordinate values, in ascending order: a point yields its value,
+// sparse (order-only) ranges list the existing coordinates via the
+// cache, and grid ranges step from lo by the selection stride.
 // This is the single definition of [lo:hi:step] expansion, shared by
 // expression-position slicing (sliceArray) and structural tiling
-// (forEachTileCell); the scan path's matcher (selContains) mirrors it,
-// so FROM-clause slicing admits exactly the coordinates expanded here.
-func forEachSelCoord(s dimSel, a *array.Array, di int, cache *dimValuesCache, fn func(v int64) error) error {
+// (tileWorker.expand); the scan path's matcher (selContains) mirrors
+// it, so FROM-clause slicing admits exactly the coordinates expanded
+// here. buf is scratch the result may be built in; a sparse range is a
+// view of the cache instead.
+func selCoords(s dimSel, a *array.Array, di int, cache *dimValuesCache, buf []int64) ([]int64, error) {
 	if s.point {
-		return fn(s.val)
+		return append(buf[:0], s.val), nil
 	}
 	if s.sparse {
-		vs, err := cache.inRange(a, di, s.lo, s.hi)
-		if err != nil {
-			return err
-		}
-		for _, v := range vs {
-			if err := fn(v); err != nil {
-				return err
-			}
-		}
-		return nil
+		return cache.inRange(a, di, s.lo, s.hi)
 	}
-	step := s.step
-	if step <= 0 {
-		step = 1
+	buf = buf[:0]
+	for v, step := s.lo, selStep(s); v < s.hi; v += step {
+		buf = append(buf, v)
 	}
-	for v := s.lo; v < s.hi; v += step {
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return buf, nil
 }
 
 // pickAttr resolves an attribute name; "" selects the single attribute
@@ -436,11 +448,17 @@ func (e *Engine) sliceArray(a *array.Array, sels []dimSel, attr string) (*array.
 				break
 			}
 		}
-		return forEachSelCoord(s, a, di, cache, func(v int64) error {
-			src[di] = v
-			dst[ki] = v
-			return walk(di + 1)
-		})
+		vs, err := selCoords(s, a, di, cache, nil)
+		if err != nil {
+			return err
+		}
+		for _, v := range vs {
+			src[di], dst[ki] = v, v
+			if err := walk(di + 1); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if err := walk(0); err != nil {
 		return nil, err
@@ -584,13 +602,4 @@ func (e *Engine) bindParams(f *catalog.Function, args []value.Value) ([]value.Va
 		out[i] = cv
 	}
 	return out, nil
-}
-
-func allDimsBounded(dims []array.Dimension) bool {
-	for _, d := range dims {
-		if !d.Bounded() {
-			return false
-		}
-	}
-	return true
 }

@@ -247,25 +247,48 @@ func (v *valuesEnv) Param(name string) (value.Value, bool) {
 	return value.Value{}, false
 }
 
-// dedupe removes duplicate rows (SELECT DISTINCT / UNION).
-func (d *Dataset) dedupe() *Dataset {
-	seen := make(map[string]bool)
-	var keep []int
-	n := d.NumRows()
-	for r := 0; r < n; r++ {
-		var sb strings.Builder
-		for c := range d.Cols {
-			sb.WriteString(d.Vecs[c].Get(r).String())
-			sb.WriteByte('\x00')
+// groupKeyTable builds the key table of the rows of cols under grouping
+// semantics — NULL is a key value of its own (never the string 'NULL'),
+// every NaN is one key, -0.0 and 0.0 are two — block by block, polling
+// the statement context, and charges it to the statement budget.
+func (e *Engine) groupKeyTable(cols []bat.Vector) (*bat.KeyTable, error) {
+	keys := bat.GroupKeys(cols)
+	table := bat.NewKeyTable(keys, 1)
+	if err := chargeBudget(e.budget, keys.Bytes()+table.Bytes()); err != nil {
+		return nil, err
+	}
+	for lo, n := 0, keys.Len(); lo < n; lo += keyBuildRows {
+		if err := e.canceled(); err != nil {
+			return nil, err
 		}
-		k := sb.String()
-		if !seen[k] {
-			seen[k] = true
-			keep = append(keep, r)
+		keys.Fill(lo, min(lo+keyBuildRows, n))
+		table.Build(0, lo, min(lo+keyBuildRows, n))
+	}
+	return table, nil
+}
+
+// distinctRows returns, in order, the rows of cols that are the first
+// with their (grouping) key.
+func (e *Engine) distinctRows(cols []bat.Vector) ([]int, error) {
+	table, err := e.groupKeyTable(cols)
+	if err != nil {
+		return nil, err
+	}
+	first := make([]int, 0, table.Distinct())
+	for i := 0; len(first) < cap(first); i++ { // every key has one first row
+		if table.First(i) {
+			first = append(first, i)
 		}
 	}
-	if len(keep) == n {
-		return d
+	return first, nil
+}
+
+// dedupe removes duplicate rows (SELECT DISTINCT / UNION), keeping
+// first occurrences.
+func (e *Engine) dedupe(d *Dataset) (*Dataset, error) {
+	keep, err := e.distinctRows(d.Vecs)
+	if err != nil || len(keep) == d.NumRows() {
+		return d, err
 	}
-	return d.Gather(keep)
+	return d.Gather(keep), nil
 }

@@ -61,8 +61,8 @@ func TestDatasetDedupe(t *testing.T) {
 	for _, v := range []int64{1, 1, 2, 1} {
 		d.Append([]value.Value{value.NewInt(v)})
 	}
-	out := d.dedupe()
-	if out.NumRows() != 2 {
+	out, err := New().dedupe(d)
+	if err != nil || out.NumRows() != 2 {
 		t.Fatalf("dedupe rows = %d", out.NumRows())
 	}
 }

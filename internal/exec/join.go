@@ -1,7 +1,9 @@
 package exec
 
 import (
-	"strings"
+	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/bat"
@@ -13,183 +15,78 @@ import (
 
 // This file is the hash-join operator behind JOIN ... ON. The ON
 // conjunction splits into cross-side equality pairs (the hash key) and
-// a residual predicate. The smaller input becomes the build side —
-// both inputs are materialized at this point, so "estimated
-// cardinality" is exact — and the probe streams against a partitioned
-// hash table: keys are extracted (in parallel morsels when the
-// statement runs parallel), rows are split by key hash into
-// power-of-two partitions, per-partition maps build independently, and
-// probe morsels emit (left, right) row-index pairs that merge in
-// morsel order. Output is byte-identical to the serial nested
-// hash-join at any parallelism: rows appear in (left row, right row)
+// a residual predicate. A pair is hashed only when hashing its two
+// columns matches exactly the rows `=` holds for (bat.JoinKeyKind):
+// columns of one integral type by value, any other numeric pairing as
+// the float64 values value.Compare compares (so 1 = 1.0 and -0.0 = 0),
+// strings by their bytes; a pair `=` never or not transitively holds
+// for — VARCHAR against INTEGER, opaque columns, a column holding NaN —
+// joins the residual instead. The smaller input becomes the build side
+// — both inputs are materialized at this point, so "estimated
+// cardinality" is exact — and the probe streams against one
+// bat.KeyTable: keys are extracted as typed words (in parallel morsels
+// when the statement runs parallel), the table's power-of-two
+// partitions build independently, and probe morsels emit (left, right)
+// row-index pairs that merge in morsel order. Output is byte-identical
+// at any parallelism: rows appear in (left row, right row)
 // lexicographic order, restored by a counting sort when the build side
 // was the left input. Final columns materialize with vectorized
 // gathers instead of per-cell boxing.
 
-// joinKeys is one side's extracted hash-key material: the composite
-// key string and its hash per row; null rows (any NULL key column, the
-// SQL equality semantics) are excluded from matching.
-type joinKeys struct {
-	key  []string
-	hash []uint64
-	null []bool
-}
+// keyBuildRows is how many rows a key table takes in between two polls
+// of the statement context.
+const keyBuildRows = 1 << 16
 
-// extractJoinKeys builds the composite key of every row of ds over the
-// key columns in cols. Runs over the morsel pool when par > 1 and the
-// input is large enough; the output is position-indexed, so the
-// parallel split needs no merge step.
-func (e *Engine) extractJoinKeys(ds *Dataset, cols []int, par int) (*joinKeys, error) {
-	n := ds.NumRows()
-	jk := &joinKeys{
-		key:  make([]string, n),
-		hash: make([]uint64, n),
-		null: make([]bool, n),
+// joinKeys extracts the typed keys of ds over the key columns cols and
+// charges them to the statement budget (one charge per side).
+func (e *Engine) joinKeys(ds *Dataset, cols []int, kinds []bat.KeyKind, par int) (*bat.RowKeys, error) {
+	vecs := make([]bat.Vector, len(cols))
+	for i, c := range cols {
+		vecs[i] = ds.Vecs[c]
 	}
-	fill := func(lo, hi int, ctxPoll func(i int) error) error {
-		var sb strings.Builder
-		for i := lo; i < hi; i++ {
-			if i&1023 == 0 && ctxPoll != nil {
-				if err := ctxPoll(i); err != nil {
-					return err
-				}
-			}
-			sb.Reset()
-			null := false
-			for _, c := range cols {
-				v := ds.Vecs[c].Get(i)
-				if v.Null {
-					null = true
-					break
-				}
-				sb.WriteString(v.String())
-				sb.WriteByte('\x00')
-			}
-			if null {
-				jk.null[i] = true
-				continue
-			}
-			k := sb.String()
-			jk.key[i] = k
-			jk.hash[i] = fnv64a(k)
-		}
+	keys := bat.NewRowKeys(vecs, kinds, false)
+	err := e.forEachMorsel(par, keys.Len(), func(m parallelMorsel) error {
+		keys.Fill(m.Lo, m.Hi)
 		return nil
-	}
-	if par > 1 && e.pool != nil && n >= 2*e.pool.Workers() {
-		err := e.pool.ForEachCtx(e.ctx(), n, e.pool.MorselFor(n), func(m parallelMorsel) error {
-			return fill(m.Lo, m.Hi, nil)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return jk, e.chargeJoinKeys(jk)
-	}
-	if err := fill(0, n, func(int) error { return e.canceled() }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	return jk, e.chargeJoinKeys(jk)
+	return keys, chargeBudget(e.budget, keys.Bytes())
 }
 
-// chargeJoinKeys posts one side's key material to the statement budget
-// (one charge per side; the byte walk runs only when a budget is
-// armed).
-func (e *Engine) chargeJoinKeys(jk *joinKeys) error {
-	if e.budget == nil {
-		return nil
-	}
-	n := int64(len(jk.key)) * 25 // string header + hash + null flag
-	for _, k := range jk.key {
-		n += int64(len(k))
-	}
-	return chargeBudget(e.budget, n)
-}
-
-// fnv64a is the FNV-1a hash of s (inlined to avoid per-row hasher
-// allocations).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// joinPartitions splits the build side's row indexes by hash into
-// power-of-two partitions (ascending row order within each) and builds
-// one hash map per partition, independently across the pool.
-type joinPartitions struct {
-	mask uint64
-	idx  []map[string][]int
-}
-
-func (e *Engine) buildJoinPartitions(keys *joinKeys, nparts int, par int) (*joinPartitions, error) {
+// buildJoinTable builds the hash table of the build side's keys, one
+// partition per worker (rounded up to a power of two).
+func (e *Engine) buildJoinTable(keys *bat.RowKeys, par int) (*bat.KeyTable, int, error) {
 	if err := faultinject.Hit("join.build"); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	jp := &joinPartitions{mask: uint64(nparts - 1), idx: make([]map[string][]int, nparts)}
-	rows := make([][]int, nparts)
-	built := int64(0)
-	for i := range keys.key {
-		if keys.null[i] {
-			continue
-		}
-		p := keys.hash[i] & jp.mask
-		rows[p] = append(rows[p], i)
-		built++
+	nparts := 1
+	if par > 1 && e.pool != nil {
+		nparts = 1 << bits.Len(uint(e.pool.Workers()-1))
 	}
-	// Hash-table footprint: per build row, a partition index entry plus
-	// its share of map bucket overhead (keys alias the extracted key
-	// strings, charged by chargeJoinKeys).
-	if err := chargeBudget(e.budget, built*40); err != nil {
-		return nil, err
+	table := bat.NewKeyTable(keys, nparts)
+	if err := chargeBudget(e.budget, table.Bytes()); err != nil {
+		return nil, 0, err
 	}
-	build := func(p int) {
-		m := make(map[string][]int, len(rows[p]))
-		for _, i := range rows[p] {
-			k := keys.key[i]
-			m[k] = append(m[k], i)
-		}
-		jp.idx[p] = m
-	}
-	if par > 1 && e.pool != nil && nparts >= 2 {
-		err := e.pool.ForEachCtx(e.ctx(), nparts, 1, func(m parallelMorsel) error {
-			for p := m.Lo; p < m.Hi; p++ {
-				build(p)
+	ctx := e.ctx()
+	build := func(p int) error {
+		for lo := 0; lo < keys.Len(); lo += keyBuildRows {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			table.Build(p, lo, min(lo+keyBuildRows, keys.Len()))
 		}
-	} else {
-		for p := range jp.idx {
-			build(p)
-		}
+		return nil
 	}
-	return jp, nil
-}
-
-// lookup returns the build-side rows matching the probe key (ascending
-// build-row order).
-func (jp *joinPartitions) lookup(key string, hash uint64) []int {
-	return jp.idx[hash&jp.mask][key]
-}
-
-// nextPow2 rounds n up to a power of two (min 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	return table, nparts, e.forEachChunk(ctx, par, nparts, build)
 }
 
 // join executes JOIN ... ON with a partitioned hash join when the
-// condition is a conjunction of cross-side equalities; otherwise it
-// filters the Cartesian product. par > 1 parallelizes key extraction,
-// partition build and probe over the morsel pool; results are
-// byte-identical at any parallelism.
+// condition has cross-side equalities that hash; otherwise it filters
+// the Cartesian product. par > 1 parallelizes key extraction, partition
+// build and probe over the morsel pool; results are byte-identical at
+// any parallelism.
 func (e *Engine) join(l, r *Dataset, j *ast.Join, outer expr.Env, par int) (*Dataset, error) {
 	if j.Kind == "CROSS" || j.On == nil {
 		return crossJoin(l, r), nil
@@ -200,207 +97,141 @@ func (e *Engine) join(l, r *Dataset, j *ast.Join, outer expr.Env, par int) (*Dat
 		t0 = time.Now()
 		pf.Join.RowsIn.Add(int64(l.NumRows() + r.NumRows()))
 	}
-	type keyPair struct{ li, ri int }
-	var pairs []keyPair
+	// The hashable cross-side equalities (left column, right column, how
+	// the two key) and everything else.
+	var lcols, rcols []int
+	var kinds []bat.KeyKind
 	var residual []ast.Expr
 	for _, c := range splitConjuncts(j.On) {
-		b, ok := c.(*ast.Binary)
-		if !ok || b.Op != "=" {
+		if li, ri, kind, ok := equiPair(c, l, r); ok {
+			lcols, rcols, kinds = append(lcols, li), append(rcols, ri), append(kinds, kind)
+		} else {
 			residual = append(residual, c)
-			continue
 		}
-		lid, lok := b.L.(*ast.Ident)
-		rid, rok := b.R.(*ast.Ident)
-		if !lok || !rok {
-			residual = append(residual, c)
-			continue
-		}
-		li, ri := l.ColIndex(lid.Table, lid.Name), r.ColIndex(rid.Table, rid.Name)
-		if li >= 0 && ri >= 0 {
-			pairs = append(pairs, keyPair{li, ri})
-			continue
-		}
-		li, ri = l.ColIndex(rid.Table, rid.Name), r.ColIndex(lid.Table, lid.Name)
-		if li >= 0 && ri >= 0 {
-			pairs = append(pairs, keyPair{li, ri})
-			continue
-		}
-		residual = append(residual, c)
 	}
 	cols := append(append([]Col(nil), l.Cols...), r.Cols...)
-	if len(pairs) == 0 {
-		// Pure residual join: filter the cross product row by row.
-		out := NewDataset(cols)
-		row := make([]value.Value, len(cols))
-		env := &valuesEnv{cols: cols, vals: row, outer: outer}
+	// keep evaluates the residual on the row pair (li, ri), boxed into
+	// the caller's env.
+	nl := len(l.Cols)
+	keep := func(env *valuesEnv, li, ri int) (bool, error) {
+		for c := range l.Cols {
+			env.vals[c] = l.Vecs[c].Get(li)
+		}
+		for c := range r.Cols {
+			env.vals[nl+c] = r.Vecs[c].Get(ri)
+		}
+		for _, rc := range residual {
+			if ok, err := e.Ev.EvalBool(rc, env); err != nil || !ok {
+				return false, err
+			}
+		}
+		return true, nil
+	}
+	var leftIdx, rightIdx []int
+	detail := "nested loop"
+	if len(kinds) == 0 {
+		// Nothing hashes: filter the cross product row by row.
+		env := &valuesEnv{cols: cols, vals: make([]value.Value, len(cols)), outer: outer}
 		for i := 0; i < l.NumRows(); i++ {
+			if err := e.canceled(); err != nil {
+				return nil, err
+			}
 			for j2 := 0; j2 < r.NumRows(); j2++ {
-				for c := range l.Cols {
-					row[c] = l.Vecs[c].Get(i)
+				ok, err := keep(env, i, j2)
+				if err != nil {
+					return nil, err
 				}
-				for c := range r.Cols {
-					row[len(l.Cols)+c] = r.Vecs[c].Get(j2)
-				}
-				keep := true
-				for _, rc := range residual {
-					ok, err := e.Ev.EvalBool(rc, env)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out.Append(row)
+				if ok {
+					leftIdx, rightIdx = append(leftIdx, i), append(rightIdx, j2)
 				}
 			}
 		}
-		if pf != nil {
-			pf.Join.AddNanos(time.Since(t0))
-			pf.Join.RowsOut.Add(int64(out.NumRows()))
-			pf.Join.RowBatches.Add(1)
+	} else {
+		// Build-side choice by cardinality: the smaller input builds the
+		// hash table, the larger streams through it. Both inputs are
+		// materialized here, so the estimate is exact; ties keep the
+		// right-side build. EXPLAIN's cost annotation applies the same rule
+		// to its zone-map row estimates.
+		buildLeft := l.NumRows() < r.NumRows()
+		bd, pd := r, l
+		bcols, pcols := rcols, lcols
+		if buildLeft {
+			bd, pd = l, r
+			bcols, pcols = lcols, rcols
 		}
-		return out, nil
-	}
-	lcols := make([]int, len(pairs))
-	rcols := make([]int, len(pairs))
-	for pi, p := range pairs {
-		lcols[pi], rcols[pi] = p.li, p.ri
-	}
-	// Build-side choice by cardinality: the smaller input builds the
-	// hash table, the larger streams through it. Both inputs are
-	// materialized here, so the estimate is exact; ties keep the
-	// right-side build. EXPLAIN's cost annotation applies the same rule
-	// to its zone-map row estimates.
-	buildLeft := l.NumRows() < r.NumRows()
-	bd, pd := r, l
-	bcols, pcols := rcols, lcols
-	if buildLeft {
-		bd, pd = l, r
-		bcols, pcols = lcols, rcols
-	}
-	bkeys, err := e.extractJoinKeys(bd, bcols, par)
-	if err != nil {
-		return nil, err
-	}
-	pkeys, err := e.extractJoinKeys(pd, pcols, par)
-	if err != nil {
-		return nil, err
-	}
-	workers := 1
-	if par > 1 && e.pool != nil {
-		workers = e.pool.Workers()
-	}
-	nparts := nextPow2(workers)
-	jp, err := e.buildJoinPartitions(bkeys, nparts, par)
-	if err != nil {
-		return nil, err
-	}
-	// Probe. Each morsel collects its (probe, build) index pairs
-	// locally; morsel buffers merge in morsel order, so the pair stream
-	// is in ascending probe-row order regardless of parallelism. The
-	// residual predicate filters during the probe (each worker binds
-	// its own row buffer).
-	pn := pd.NumRows()
-	probe := func(lo, hi int, pi, bi *[]int, ctxPoll func() error) error {
-		var row []value.Value
-		var env *valuesEnv
-		if len(residual) > 0 {
-			row = make([]value.Value, len(cols))
-			env = &valuesEnv{cols: cols, vals: row, outer: outer}
+		bkeys, err := e.joinKeys(bd, bcols, kinds, par)
+		if err != nil {
+			return nil, err
 		}
-		for i := lo; i < hi; i++ {
-			if i&1023 == 0 && ctxPoll != nil {
-				if err := ctxPoll(); err != nil {
-					return err
-				}
+		pkeys, err := e.joinKeys(pd, pcols, kinds, par)
+		if err != nil {
+			return nil, err
+		}
+		table, nparts, err := e.buildJoinTable(bkeys, par)
+		if err != nil {
+			return nil, err
+		}
+		// Probe. Each morsel collects its (probe, build) index pairs
+		// locally; morsel buffers merge in morsel order, so the pair stream
+		// is in ascending probe-row order regardless of parallelism. The
+		// residual predicate filters during the probe (each morsel binds
+		// its own row buffer).
+		pn := pd.NumRows()
+		morsel := e.morselFor(pn)
+		pparts := make([][]int, (pn+morsel-1)/morsel)
+		bparts := make([][]int, len(pparts))
+		err = e.forEachMorsel(par, pn, func(m parallelMorsel) error {
+			var env *valuesEnv
+			if len(residual) > 0 {
+				env = &valuesEnv{cols: cols, vals: make([]value.Value, len(cols)), outer: outer}
 			}
-			if pkeys.null[i] {
-				continue
-			}
-			for _, b := range jp.lookup(pkeys.key[i], pkeys.hash[i]) {
-				if len(residual) > 0 {
-					li, ri := i, b
-					if buildLeft {
-						li, ri = b, i
-					}
-					for c := range l.Cols {
-						row[c] = l.Vecs[c].Get(li)
-					}
-					for c := range r.Cols {
-						row[len(l.Cols)+c] = r.Vecs[c].Get(ri)
-					}
-					keep := true
-					for _, rc := range residual {
-						ok, err := e.Ev.EvalBool(rc, env)
-						if err != nil {
+			pi := make([]int, 0, m.Hi-m.Lo)
+			bi := make([]int, 0, m.Hi-m.Lo)
+			for i := m.Lo; i < m.Hi; i++ {
+				for b := table.Lookup(pkeys, i); b >= 0; b = table.Next(b) {
+					if env != nil {
+						li, ri := i, int(b)
+						if buildLeft {
+							li, ri = ri, li
+						}
+						if ok, err := keep(env, li, ri); err != nil {
 							return err
-						}
-						if !ok {
-							keep = false
-							break
+						} else if !ok {
+							continue
 						}
 					}
-					if !keep {
-						continue
-					}
+					pi, bi = append(pi, i), append(bi, int(b))
 				}
-				*pi = append(*pi, i)
-				*bi = append(*bi, b)
 			}
-		}
-		return nil
-	}
-	var probeIdx, buildIdx []int
-	if par > 1 && e.pool != nil && pn >= 2*e.pool.Workers() {
-		morsel := e.pool.MorselFor(pn)
-		slots := (pn + morsel - 1) / morsel
-		pparts := make([][]int, slots)
-		bparts := make([][]int, slots)
-		ctx := e.ctx()
-		err := e.pool.ForEachCtx(ctx, pn, morsel, func(m parallelMorsel) error {
-			var pi, bi []int
-			if err := probe(m.Lo, m.Hi, &pi, &bi, ctx.Err); err != nil {
-				return err
-			}
-			slot := m.Lo / morsel
-			pparts[slot], bparts[slot] = pi, bi
+			pparts[m.Lo/morsel], bparts[m.Lo/morsel] = pi, bi
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		total := 0
-		for _, p := range pparts {
-			total += len(p)
+		leftIdx, rightIdx = slices.Concat(pparts...), slices.Concat(bparts...)
+		if buildLeft {
+			// Pairs arrived in (right asc, left asc) order; restore the
+			// (left asc, right asc) output contract with a stable counting
+			// sort on the left row index — O(pairs + left rows), and stable,
+			// so right indexes stay ascending within one left row.
+			leftIdx, rightIdx = countingSortPairs(rightIdx, leftIdx, l.NumRows())
 		}
-		probeIdx = make([]int, 0, total)
-		buildIdx = make([]int, 0, total)
-		for s := range pparts {
-			probeIdx = append(probeIdx, pparts[s]...)
-			buildIdx = append(buildIdx, bparts[s]...)
+		if pf != nil {
+			pf.Join.Chunks.Add(int64(nparts))
+			key := fmt.Sprintf("%d-word", bkeys.Width())
+			if bkeys.Width() == 0 {
+				key = "encoded"
+			}
+			detail = fmt.Sprintf("build_rows=%d keys=%d key=%s", bd.NumRows(), table.Distinct(), key)
 		}
-	} else {
-		if err := probe(0, pn, &probeIdx, &buildIdx, e.canceled); err != nil {
-			return nil, err
-		}
-	}
-	leftIdx, rightIdx := probeIdx, buildIdx
-	if buildLeft {
-		// Pairs arrived in (right asc, left asc) order; restore the
-		// (left asc, right asc) output contract with a stable counting
-		// sort on the left row index — O(pairs + left rows), and stable,
-		// so right indexes stay ascending within one left row.
-		leftIdx, rightIdx = countingSortPairs(buildIdx, probeIdx, l.NumRows())
 	}
 	out := &Dataset{Cols: cols, Vecs: make([]bat.Vector, len(cols))}
 	for c := range l.Cols {
 		out.Vecs[c] = l.Vecs[c].Gather(leftIdx)
 	}
 	for c := range r.Cols {
-		out.Vecs[len(l.Cols)+c] = r.Vecs[c].Gather(rightIdx)
+		out.Vecs[nl+c] = r.Vecs[c].Gather(rightIdx)
 	}
 	if err := chargeBudget(e.budget, approxDatasetBytes(out)); err != nil {
 		return nil, err
@@ -408,10 +239,33 @@ func (e *Engine) join(l, r *Dataset, j *ast.Join, outer expr.Env, par int) (*Dat
 	if pf != nil {
 		pf.Join.AddNanos(time.Since(t0))
 		pf.Join.RowsOut.Add(int64(out.NumRows()))
-		pf.Join.Chunks.Add(int64(nparts))
-		pf.Join.VecBatches.Add(1)
+		opBatches(&pf.Join, len(kinds) > 0).Add(1)
+		pf.Join.SetDetail(detail)
 	}
 	return out, nil
+}
+
+// equiPair recognizes a conjunct of the form <left column> = <right
+// column> (either way round) whose two columns hash to `=` equality.
+func equiPair(c ast.Expr, l, r *Dataset) (li, ri int, kind bat.KeyKind, ok bool) {
+	b, ok := c.(*ast.Binary)
+	if !ok || b.Op != "=" {
+		return 0, 0, 0, false
+	}
+	lid, lok := b.L.(*ast.Ident)
+	rid, rok := b.R.(*ast.Ident)
+	if !lok || !rok {
+		return 0, 0, 0, false
+	}
+	li, ri = l.ColIndex(lid.Table, lid.Name), r.ColIndex(rid.Table, rid.Name)
+	if li < 0 || ri < 0 {
+		li, ri = l.ColIndex(rid.Table, rid.Name), r.ColIndex(lid.Table, lid.Name)
+	}
+	if li < 0 || ri < 0 {
+		return 0, 0, 0, false
+	}
+	kind, ok = bat.JoinKeyKind(l.Vecs[li], r.Vecs[ri])
+	return li, ri, kind, ok
 }
 
 // countingSortPairs stably reorders (major, minor) index pairs into

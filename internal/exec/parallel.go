@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/array"
@@ -255,92 +256,64 @@ func (e *Engine) prewarmArray(a *array.Array) {
 	_, _, _ = a.BoundingBox()
 }
 
-// filterKeep evaluates where over every row of ds and returns the
-// indexes of passing rows in order; par > 1 splits the rows into
-// morsels across the worker pool. When the predicate compiles into
-// bulk kernels it runs column-at-a-time, one batch per morsel,
-// producing the same indexes the interpreter would.
-func (e *Engine) filterKeep(where ast.Expr, ds *Dataset, outer expr.Env, par int) ([]int, error) {
-	n := ds.NumRows()
-	if prog := e.vecCompile(where, ds.Cols, true); prog != nil && prog.validFor(ds.Vecs) {
-		return e.filterKeepVec(prog, ds, par, n)
+// morselFor is the morsel size forEachMorsel cuts an n-element domain
+// into.
+func (e *Engine) morselFor(n int) int {
+	if e.pool == nil {
+		return parallel.DefaultMorsel
 	}
-	if par <= 1 || e.pool == nil || n < 2*e.pool.Workers() {
-		var keep []int
-		env := &rowEnv{d: ds, outer: outer}
-		for r := 0; r < n; r++ {
-			if r&1023 == 0 {
-				if err := e.canceled(); err != nil {
-					return nil, err
-				}
-			}
-			env.row = r
-			ok, err := e.Ev.EvalBool(where, env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				keep = append(keep, r)
-			}
-		}
-		return keep, nil
-	}
-	mask := make([]bool, n)
-	err := e.pool.ForEachCtx(e.ctx(), n, e.pool.MorselFor(n), func(m parallelMorsel) error {
-		env := &rowEnv{d: ds, outer: outer}
-		for r := m.Lo; r < m.Hi; r++ {
-			env.row = r
-			ok, err := e.Ev.EvalBool(where, env)
-			if err != nil {
-				return err
-			}
-			mask[r] = ok
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var keep []int
-	for r, ok := range mask {
-		if ok {
-			keep = append(keep, r)
-		}
-	}
-	return keep, nil
+	return e.pool.MorselFor(n)
 }
 
-// filterKeepVec is the vectorized filter: the compiled predicate runs
-// over row batches, emitting selection vectors that concatenate in row
-// order (serially or across morsels).
-func (e *Engine) filterKeepVec(prog *vecProg, ds *Dataset, par, n int) ([]int, error) {
-	if par <= 1 || e.pool == nil || n < 2*e.pool.Workers() {
-		var keep []int
-		for lo := 0; lo < n; lo += vecBatchRows {
-			if err := e.canceled(); err != nil {
-				return nil, err
-			}
-			hi := lo + vecBatchRows
-			if hi > n {
-				hi = n
-			}
-			for _, rel := range prog.filterSel(ds.Vecs, lo, hi) {
-				keep = append(keep, lo+rel)
-			}
-		}
-		return keep, nil
+// forEachMorsel runs fn over the morsels of [0, n): across the pool
+// when the statement runs parallel and the domain is worth sharing out,
+// otherwise in order on the calling goroutine — a pool of one — with
+// the statement context polled between morsels either way.
+func (e *Engine) forEachMorsel(par, n int, fn func(m parallelMorsel) error) error {
+	morsel := e.morselFor(n)
+	if par > 1 && e.pool != nil && n >= 2*e.pool.Workers() {
+		return e.pool.ForEachCtx(e.ctx(), n, morsel, fn)
 	}
-	morsel := e.pool.MorselFor(n)
+	for lo := 0; lo < n; lo += morsel {
+		if err := e.canceled(); err != nil {
+			return err
+		}
+		if err := fn(parallelMorsel{Lo: lo, Hi: min(lo+morsel, n)}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// filterKeep evaluates where over every row of ds and returns the
+// indexes of passing rows in order, morsel by morsel (forEachMorsel):
+// through the compiled predicate when it compiles into bulk kernels —
+// one batch per morsel, producing the same indexes the interpreter
+// would — row by row otherwise.
+func (e *Engine) filterKeep(where ast.Expr, ds *Dataset, outer expr.Env, par int) ([]int, error) {
+	n := ds.NumRows()
+	prog := e.vecCompile(where, ds.Cols, true)
+	if prog != nil && !prog.validFor(ds.Vecs) {
+		prog = nil
+	}
+	morsel := e.morselFor(n)
 	parts := make([][]int, (n+morsel-1)/morsel)
-	err := e.pool.ForEachCtx(e.ctx(), n, morsel, func(m parallelMorsel) error {
+	err := e.forEachMorsel(par, n, func(m parallelMorsel) error {
 		var keep []int
-		for lo := m.Lo; lo < m.Hi; lo += vecBatchRows {
-			hi := lo + vecBatchRows
-			if hi > m.Hi {
-				hi = m.Hi
+		if prog != nil {
+			for _, rel := range prog.filterSel(ds.Vecs, m.Lo, m.Hi) {
+				keep = append(keep, m.Lo+rel)
 			}
-			for _, rel := range prog.filterSel(ds.Vecs, lo, hi) {
-				keep = append(keep, lo+rel)
+		} else {
+			env := &rowEnv{d: ds, outer: outer}
+			for env.row = m.Lo; env.row < m.Hi; env.row++ {
+				ok, err := e.Ev.EvalBool(where, env)
+				if err != nil {
+					return err
+				}
+				if ok {
+					keep = append(keep, env.row)
+				}
 			}
 		}
 		parts[m.Lo/morsel] = keep
@@ -349,167 +322,55 @@ func (e *Engine) filterKeepVec(prog *vecProg, ds *Dataset, par, n int) ([]int, e
 	if err != nil {
 		return nil, err
 	}
-	var keep []int
-	for _, p := range parts {
-		keep = append(keep, p...)
-	}
-	return keep, nil
+	return slices.Concat(parts...), nil
 }
 
-// projectWith evaluates the target list for every row of ds, fanning
-// the rows out over the pool when par > 1. Output is identical to the
-// serial project for any par. Items whose expressions compile into
-// bulk kernels evaluate column-at-a-time, one batch per morsel; the
-// rest fall back to the row interpreter, per item.
+// projectWith evaluates the target list for every row of ds, morsel by
+// morsel (forEachMorsel); the output is the same for any par. Items
+// whose expressions compile into bulk kernels evaluate
+// column-at-a-time, one batch per morsel; the rest go through the row
+// interpreter, per item.
 func (e *Engine) projectWith(items []ast.SelectItem, ds *Dataset, outer expr.Env, par int) (*Dataset, error) {
 	items = expandStars(items, ds.Cols)
 	n := ds.NumRows()
 	progs := make([]*vecProg, len(items))
-	anyVec, allVec := false, true
+	colVals := make([][]value.Value, len(items))
+	allVec := true
 	for i, it := range items {
 		if p := e.vecCompile(it.Expr, ds.Cols, true); p != nil && p.validFor(ds.Vecs) {
 			progs[i] = p
-			anyVec = true
 		} else {
+			colVals[i] = make([]value.Value, n)
 			allVec = false
 		}
 	}
-	if !anyVec {
-		if par <= 1 || e.pool == nil || n < 2*e.pool.Workers() {
-			return e.project(items, ds, outer)
-		}
-		return e.projectRowsParallel(items, ds, outer, n)
-	}
-	outVecs := make([]bat.Vector, len(items))
-	colVals := make([][]value.Value, len(items))
-	if par > 1 && e.pool != nil && n >= 2*e.pool.Workers() {
-		morsel := e.pool.MorselFor(n)
-		slots := (n + morsel - 1) / morsel
-		vparts := make([][]bat.Vector, slots)
-		for i := range colVals {
-			if progs[i] == nil {
-				colVals[i] = make([]value.Value, n)
-			}
-		}
-		err := e.pool.ForEachCtx(e.ctx(), n, morsel, func(m parallelMorsel) error {
-			// Morsels are at most DefaultMorsel rows — already batch
-			// sized — so each item evaluates in one kernel call; the
-			// single element copy happens at the ordered merge below.
-			part := make([]bat.Vector, len(items))
-			for i, p := range progs {
-				if p == nil {
-					continue
-				}
+	morsel := e.morselFor(n)
+	vparts := make([][]bat.Vector, (n+morsel-1)/morsel)
+	err := e.forEachMorsel(par, n, func(m parallelMorsel) error {
+		// Morsels are batch sized, so each compiled item evaluates in one
+		// kernel call; the single element copy happens at the ordered
+		// merge below.
+		part := make([]bat.Vector, len(items))
+		for i, p := range progs {
+			if p != nil {
 				part[i] = p.eval(ds.Vecs, m.Lo, m.Hi)
 			}
-			vparts[m.Lo/morsel] = part
-			if !allVec {
-				env := &rowEnv{d: ds, outer: outer}
-				for r := m.Lo; r < m.Hi; r++ {
-					env.row = r
-					for i, it := range items {
-						if progs[i] != nil {
-							continue
-						}
-						v, err := e.Ev.Eval(it.Expr, env)
-						if err != nil {
-							return err
-						}
-						colVals[i][r] = v
-					}
-				}
-			}
+		}
+		vparts[m.Lo/morsel] = part
+		if allVec {
 			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		for i, p := range progs {
-			if p == nil {
-				continue
-			}
-			acc := bat.New(p.typ, n)
-			for _, part := range vparts {
-				acc = bat.Concat(acc, part[i])
-			}
-			outVecs[i] = acc
-		}
-	} else {
-		for i, p := range progs {
-			if p == nil {
-				continue
-			}
-			acc := bat.New(p.typ, n)
-			for lo := 0; lo < n; lo += vecBatchRows {
-				if err := e.canceled(); err != nil {
-					return nil, err
-				}
-				hi := lo + vecBatchRows
-				if hi > n {
-					hi = n
-				}
-				acc = bat.Concat(acc, p.eval(ds.Vecs, lo, hi))
-			}
-			outVecs[i] = acc
-		}
-		if !allVec {
-			env := &rowEnv{d: ds, outer: outer}
-			for r := 0; r < n; r++ {
-				if r&1023 == 0 {
-					if err := e.canceled(); err != nil {
-						return nil, err
-					}
-				}
-				env.row = r
-				for i, it := range items {
-					if progs[i] != nil {
-						continue
-					}
-					v, err := e.Ev.Eval(it.Expr, env)
-					if err != nil {
-						return nil, err
-					}
-					colVals[i] = append(colVals[i], v)
-				}
-			}
-		}
-	}
-	cols := make([]Col, len(items))
-	vecs := make([]bat.Vector, len(items))
-	for i, it := range items {
-		if progs[i] != nil {
-			v, t := finalizeVecOutput(outVecs[i])
-			cols[i] = Col{Name: itemName(it, i), Typ: t, IsDim: it.DimQual}
-			vecs[i] = v
-		} else {
-			t := promoteType(colVals[i])
-			cols[i] = Col{Name: itemName(it, i), Typ: t, IsDim: it.DimQual}
-			vecs[i] = bat.FromValues(t, colVals[i])
-		}
-		if id, ok := it.Expr.(*ast.Ident); ok {
-			cols[i].Qual = id.Table
-		}
-	}
-	return &Dataset{Cols: cols, Vecs: vecs}, nil
-}
-
-// projectRowsParallel is the row-interpreted parallel projection for
-// target lists with no vectorizable items.
-func (e *Engine) projectRowsParallel(items []ast.SelectItem, ds *Dataset, outer expr.Env, n int) (*Dataset, error) {
-	colVals := make([][]value.Value, len(items))
-	for i := range colVals {
-		colVals[i] = make([]value.Value, n)
-	}
-	err := e.pool.ForEachCtx(e.ctx(), n, e.pool.MorselFor(n), func(m parallelMorsel) error {
 		env := &rowEnv{d: ds, outer: outer}
-		for r := m.Lo; r < m.Hi; r++ {
-			env.row = r
+		for env.row = m.Lo; env.row < m.Hi; env.row++ {
 			for i, it := range items {
+				if progs[i] != nil {
+					continue
+				}
 				v, err := e.Ev.Eval(it.Expr, env)
 				if err != nil {
 					return err
 				}
-				colVals[i][r] = v
+				colVals[i][env.row] = v
 			}
 		}
 		return nil
@@ -517,5 +378,23 @@ func (e *Engine) projectRowsParallel(items []ast.SelectItem, ds *Dataset, outer 
 	if err != nil {
 		return nil, err
 	}
-	return buildProjected(items, colVals), nil
+	cols := make([]Col, len(items))
+	vecs := make([]bat.Vector, len(items))
+	for i, it := range items {
+		if p := progs[i]; p != nil {
+			acc := bat.New(p.typ, n)
+			for _, part := range vparts {
+				acc = bat.Concat(acc, part[i])
+			}
+			vecs[i], cols[i].Typ = finalizeVecOutput(acc)
+		} else {
+			cols[i].Typ = promoteType(colVals[i])
+			vecs[i] = bat.FromValues(cols[i].Typ, colVals[i])
+		}
+		cols[i].Name, cols[i].IsDim = itemName(it, i), it.DimQual
+		if id, ok := it.Expr.(*ast.Ident); ok {
+			cols[i].Qual = id.Table
+		}
+	}
+	return &Dataset{Cols: cols, Vecs: vecs}, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/bat"
-	"repro/internal/expr"
 	"repro/internal/sql/ast"
 	"repro/internal/value"
 )
@@ -36,32 +35,6 @@ func expandStars(items []ast.SelectItem, cols []Col) []ast.SelectItem {
 		}
 	}
 	return out
-}
-
-// project evaluates the target list for every row of ds.
-func (e *Engine) project(items []ast.SelectItem, ds *Dataset, outer expr.Env) (*Dataset, error) {
-	items = expandStars(items, ds.Cols)
-	n := ds.NumRows()
-	colVals := make([][]value.Value, len(items))
-	for i := range colVals {
-		colVals[i] = make([]value.Value, 0, n)
-	}
-	for r := 0; r < n; r++ {
-		if r&1023 == 0 {
-			if err := e.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		env := &rowEnv{d: ds, row: r, outer: outer}
-		for i, it := range items {
-			v, err := e.Ev.Eval(it.Expr, env)
-			if err != nil {
-				return nil, err
-			}
-			colVals[i] = append(colVals[i], v)
-		}
-	}
-	return buildProjected(items, colVals), nil
 }
 
 // buildProjected assembles output vectors with per-column type

@@ -172,44 +172,47 @@ func (e *Engine) forEachChunk(ctx context.Context, par, n int, fn func(ci int) e
 }
 
 // materializeScan concatenates the scan's batches into one dataset.
-// Each chunk copies its batches into a buffer of its own (so a result
-// never aliases the store) and the buffers join in chunk order, which
-// the store guarantees equals serial scan order — the result is
+// The chunks only collect their batches — views of the store, valid for
+// as long as the statement's store version is — and the one copy (a
+// result never aliases the store) lays them out in chunk order, which
+// the store guarantees equals serial scan order: the result is
 // byte-identical at any parallelism.
 func (e *Engine) materializeScan(src *scanSource, par int) (*Dataset, error) {
 	chunks, err := e.scanChunks(src)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*Dataset, len(chunks))
+	parts := make([][]*Dataset, len(chunks))
 	ctx := e.ctx()
 	err = e.forEachChunk(ctx, par, len(chunks), func(ci int) error {
-		part := NewDataset(src.cols)
-		if err := e.scanChunk(ctx, src, chunks[ci], func(in *Dataset) bool {
-			part.concat(in)
+		var bytes int64
+		err := e.scanChunk(ctx, src, chunks[ci], func(in *Dataset) bool {
+			parts[ci] = append(parts[ci], in)
+			bytes += approxDatasetBytes(in)
 			return true
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
-		parts[ci] = part
-		return chargeBudget(src.budget, approxDatasetBytes(part))
+		return chargeBudget(src.budget, bytes)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
 	out := NewDataset(src.cols)
 	rows := 0
-	for _, p := range parts {
-		rows += p.NumRows()
+	for _, part := range parts {
+		for _, in := range part {
+			rows += in.NumRows()
+		}
 	}
 	for c := range out.Vecs {
 		out.Vecs[c] = bat.Grow(out.Vecs[c], rows)
 	}
-	for _, p := range parts {
-		out.concat(p)
+	for _, part := range parts {
+		for _, in := range part {
+			out.concat(in)
+		}
 	}
 	return out, nil
 }

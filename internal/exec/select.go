@@ -51,7 +51,7 @@ func (e *Engine) execSelect(sel *ast.Select, outer expr.Env) (*Dataset, error) {
 		left.Append(right.Row(r))
 	}
 	if sel.SetOp == "UNION" {
-		return left.dedupe(), nil
+		return e.dedupe(left)
 	}
 	return left, nil
 }
@@ -123,7 +123,6 @@ func (e *Engine) execSelectCore(sel *ast.Select, outer expr.Env) (*Dataset, erro
 		pf.Tiled.AddNanos(time.Since(t0))
 		pf.Tiled.RowsIn.Add(int64(in))
 		pf.Tiled.RowsOut.Add(int64(out.NumRows()))
-		pf.Tiled.RowBatches.Add(1)
 		return out, nil
 	}
 	// NEXT(col) rewriting requires an ordered view of the source.
@@ -308,7 +307,10 @@ func (e *Engine) finishSelectSorted(sel *ast.Select, out *Dataset, outer expr.En
 			t0 = time.Now()
 			pf.Distinct.RowsIn.Add(int64(out.NumRows()))
 		}
-		out = out.dedupe()
+		var err error
+		if out, err = e.dedupe(out); err != nil {
+			return nil, err
+		}
 		if pf != nil {
 			pf.Distinct.AddNanos(time.Since(t0))
 			pf.Distinct.RowsOut.Add(int64(out.NumRows()))
@@ -1069,23 +1071,17 @@ func gcd64(a, b int64) int64 {
 }
 
 // crossJoin forms the Cartesian product (comma joins; WHERE conjuncts
-// filter afterwards).
+// filter afterwards) as typed gathers of the two inputs' columns.
 func crossJoin(l, r *Dataset) *Dataset {
-	cols := append(append([]Col(nil), l.Cols...), r.Cols...)
-	out := NewDataset(cols)
 	ln, rn := l.NumRows(), r.NumRows()
-	row := make([]value.Value, len(cols))
+	li, ri := make([]int, 0, ln*rn), make([]int, 0, ln*rn)
 	for i := 0; i < ln; i++ {
-		for c := range l.Cols {
-			row[c] = l.Vecs[c].Get(i)
-		}
 		for j := 0; j < rn; j++ {
-			for c := range r.Cols {
-				row[len(l.Cols)+c] = r.Vecs[c].Get(j)
-			}
-			out.Append(row)
+			li, ri = append(li, i), append(ri, j)
 		}
 	}
+	out := &Dataset{Cols: append(append([]Col(nil), l.Cols...), r.Cols...)}
+	out.Vecs = append(l.Gather(li).Vecs, r.Gather(ri).Vecs...)
 	return out
 }
 

@@ -386,19 +386,30 @@ func referencedNames(sel *ast.Select) (map[string]bool, bool) {
 			return true
 		})
 	}
+	// A join key named only in its ON condition is still a reference:
+	// FROM items are visited through their JOIN trees.
+	var visitFrom func(fi ast.FromItem)
+	visitFrom = func(fi ast.FromItem) {
+		switch t := fi.(type) {
+		case *ast.TableRef:
+			for _, ix := range t.Indexers {
+				visit(ix.Point)
+				visit(ix.Start)
+				visit(ix.Stop)
+				visit(ix.Step)
+			}
+		case *ast.Join:
+			visitFrom(t.Left)
+			visitFrom(t.Right)
+			visit(t.On)
+		}
+	}
 	for cur := sel; cur != nil; cur = cur.SetRight {
 		for _, it := range cur.Items {
 			visit(it.Expr)
 		}
 		for _, fi := range cur.From {
-			if tr, isTR := fi.(*ast.TableRef); isTR {
-				for _, ix := range tr.Indexers {
-					visit(ix.Point)
-					visit(ix.Start)
-					visit(ix.Stop)
-					visit(ix.Step)
-				}
-			}
+			visitFrom(fi)
 		}
 		visit(cur.Where)
 		if cur.GroupBy != nil {

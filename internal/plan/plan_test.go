@@ -65,6 +65,21 @@ Project v
 `)
 }
 
+// TestJoinKeysSurvivePruning: an attribute named only in a JOIN's ON
+// condition is a reference — at e6278ea
+// pruning ignored JOIN trees and the executor failed with "unbound
+// name r.data".
+func TestJoinKeysSurvivePruning(t *testing.T) {
+	golden(t,
+		`SELECT m.x FROM matrix AS m JOIN series AS r ON m.v = r.data`,
+		`
+Project m.x
+  Join INNER on (m.v = r.data)
+    Scan matrix AS m attrs[v]
+    Scan series AS r
+`)
+}
+
 // TestTilingGolden covers the paper's structural aggregation (§4.4):
 // DISTINCT tiling compiles to a TiledAggregate over the anchor scan.
 func TestTilingGolden(t *testing.T) {

@@ -29,7 +29,14 @@ type OpStats struct {
 	// give the operator's observed execution mode.
 	VecBatches atomic.Int64
 	RowBatches atomic.Int64
+	// detail is what only this kind of operator has to say about the run
+	// (a join's build side and key shape, a tiling's window), rendered
+	// after the counters.
+	detail atomic.Pointer[string]
 }
+
+// SetDetail records the operator-specific part of the annotation.
+func (o *OpStats) SetDetail(s string) { o.detail.Store(&s) }
 
 // AddNanos accumulates operator wall time.
 func (o *OpStats) AddNanos(d time.Duration) { o.Nanos.Add(d.Nanoseconds()) }
@@ -95,6 +102,10 @@ func RenderOp(o *OpStats, showIn bool) string {
 	}
 	if c := o.Skipped.Load(); c > 0 {
 		fmt.Fprintf(&sb, " chunks_skipped=%d", c)
+	}
+	if d := o.detail.Load(); d != nil {
+		sb.WriteByte(' ')
+		sb.WriteString(*d)
 	}
 	sb.WriteByte(')')
 	if m := o.Mode(); m != "" {

@@ -133,6 +133,84 @@ func TestExplainAnalyzeRendersOperatorStats(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeStructuralOperators: the Tiled line says how many
+// anchors folded how many tile cells through which kind of window, the
+// Join line how many rows built how many distinct keys of which width —
+// or that nothing hashed and the join ran as a nested loop.
+func TestExplainAnalyzeStructuralOperators(t *testing.T) {
+	db := diffDB(t, "")
+	line := func(q, op string) string {
+		t.Helper()
+		rs, err := db.Query("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		for r := 0; r < rs.NumRows(); r++ {
+			if s := rs.Get(r, 0).S; strings.Contains(s, op) {
+				return s
+			}
+		}
+		t.Fatalf("no %s line in:\n%s", op, rs)
+		return ""
+	}
+	for _, par := range []int{1, 4} {
+		db.Parallelism(par)
+		for _, tc := range []struct {
+			q, op string
+			want  []string
+		}{
+			// 24x24 aligned anchors of 16 cells each; the dense grid is
+			// addressed positionally.
+			{`SELECT [x], [y], SUM(a) FROM grid GROUP BY DISTINCT grid[x:x+4][y:y+4]`, "TiledAggregate",
+				[]string{"rows_in=9216", "rows=576", "cells=9216", "anchors=576", "window=positional", "[vectorized]"}},
+			{`SELECT [x], SUM(CASE WHEN a > 9 THEN 1 ELSE 0 END) FROM grid GROUP BY grid[x][*]`, "TiledAggregate",
+				[]string{"rows=96", "cells=9216", "anchors=96", "[interpreted]"}},
+			{`SELECT l.x, r.x FROM grid AS l JOIN grid[40:46][40:46] AS r ON l.c = r.c`, "Join INNER",
+				[]string{"build_rows=36", "keys=9", "key=1-word", "[vectorized]"}},
+			{`SELECT l.x, r.x FROM grid AS l JOIN grid[40:42][40:42] AS r ON l.x = r.x AND l.b = r.b`, "Join INNER",
+				[]string{"build_rows=4", "keys=4", "key=2-word"}},
+		} {
+			got := line(tc.q, tc.op)
+			for _, w := range tc.want {
+				if !strings.Contains(got, w) {
+					t.Errorf("par=%d %s\nline %q lacks %q", par, tc.q, got, w)
+				}
+			}
+		}
+	}
+	// A window over an unbounded, sparsely filled array is hashed; keys a
+	// string column takes part in are encoded; VARCHAR = INTEGER hashes
+	// nothing.
+	db.MustExec(`
+		CREATE ARRAY sp (x INTEGER DIMENSION, y INTEGER DIMENSION, v FLOAT);
+		INSERT INTO sp VALUES (0, 0, 1.0), (1000000, 5, 2.0), (1000001, 5, 3.0), (-70000, 123456, 4.0)`)
+	if got := line(`SELECT [x], [y], SUM(v), COUNT(*) FROM sp GROUP BY sp[x-1:x+2][y]`, "TiledAggregate"); !strings.Contains(got, "anchors=4") || !strings.Contains(got, "cells=6") || !strings.Contains(got, "window=hashed") {
+		t.Errorf("sparse tiling line: %q", got)
+	}
+	jdb := joinEqDB(t)
+	jline := func(q string) string {
+		rs := jdb.MustQuery("EXPLAIN ANALYZE " + q)
+		for r := 0; r < rs.NumRows(); r++ {
+			if s := rs.Get(r, 0).S; strings.Contains(s, "Join INNER") {
+				return s
+			}
+		}
+		return ""
+	}
+	if got := jline(`SELECT l.n, r.m FROM s1 AS l JOIN s2 AS r ON l.p = r.p AND l.q = r.q`); !strings.Contains(got, "key=encoded") || !strings.Contains(got, "build_rows=3") {
+		t.Errorf("string join line: %q", got)
+	}
+	if got := jline(`SELECT l.n, r.m FROM sc AS l JOIN ib AS r ON l.k = r.k`); !strings.Contains(got, "nested loop") {
+		t.Errorf("VARCHAR = INTEGER join line: %q", got)
+	}
+	if got := jline(`SELECT l.n, r.m FROM fn AS l JOIN ib AS r ON l.k = r.k`); !strings.Contains(got, "nested loop") {
+		t.Errorf("NaN-keyed join line: %q", got)
+	}
+	if got := jline(`SELECT l.n, r.m FROM fa AS l JOIN ib AS r ON l.k = r.k`); !strings.Contains(got, "key=1-word") {
+		t.Errorf("FLOAT = INTEGER join line: %q", got)
+	}
+}
+
 // TestExplainAnalyzePerScheme profiles the same filter scan over every
 // physical storage scheme, serial and morsel-parallel: the reported
 // row count must match the query's result regardless of how the store

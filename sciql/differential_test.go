@@ -291,10 +291,12 @@ func (g *queryGen) joinQuery() string {
 // diffQueries is the deterministic random query set: a fixed seed, so
 // every run, every scheme and every engine configuration sees exactly
 // the same SQL. After the scan shapes come hash-join shapes over the
-// same grid, then the chunk-wise aggregation shapes.
+// same grid, then the chunk-wise aggregation shapes, then the
+// structural shapes the naive reference evaluator also checks
+// (naive_test.go): tiling, and joins keyed on attributes.
 func diffQueries() []string {
 	g := &queryGen{r: rand.New(rand.NewSource(0x5c191))}
-	out := make([]string, 0, 64)
+	out := make([]string, 0, 96)
 	for len(out) < 24 {
 		out = append(out, g.query())
 	}
@@ -303,6 +305,12 @@ func diffQueries() []string {
 	}
 	for len(out) < 64 {
 		out = append(out, g.aggQuery())
+	}
+	for _, s := range tileShapes() {
+		out = append(out, s.sql())
+	}
+	for _, j := range joinShapes() {
+		out = append(out, j.sql())
 	}
 	return out
 }
@@ -317,7 +325,7 @@ func sortedLines(rs *Result) string {
 }
 
 // TestDifferentialRandomQueries is the engine's differential oracle:
-// every generated query must render byte-identically across chunk
+// every query of diffQueries must render byte-identically across chunk
 // skipping on/off × vectorized on/off × parallelism 1/4 within each
 // storage scheme (the serial interpreted unskipped run is the
 // reference), and the sorted row sets must agree across all five

@@ -22,6 +22,7 @@ var faultPoints = []string{
 	"catalog.commit",
 	"scan.chunk",
 	"join.build",
+	"tile.fold",
 	"pool.worker",
 	"cursor.close",
 }
@@ -29,6 +30,7 @@ var faultPoints = []string{
 const (
 	faultScanQ = `SELECT x, y, v FROM fmatrix WHERE v > 300`
 	faultJoinQ = `SELECT m.x, m.y, m.v, s.w FROM fmatrix AS m JOIN fside AS s ON m.x = s.t WHERE s.w > 30`
+	faultTileQ = `SELECT [x], [y], AVG(v), COUNT(*) FROM fmatrix GROUP BY fmatrix[x-1:x+2][y-1:y+2]`
 	faultDML   = `UPDATE fscratch SET w = w + 1`
 )
 
@@ -53,7 +55,8 @@ func TestFaultInjectionInvariants(t *testing.T) {
 	base := setupFaultDB(t)
 	scanWant := base.MustQuery(faultScanQ).String()
 	joinWant := base.MustQuery(faultJoinQ).String()
-	if scanWant == "" || joinWant == "" {
+	tileWant := base.MustQuery(faultTileQ).String()
+	if scanWant == "" || joinWant == "" || tileWant == "" {
 		t.Fatal("baseline queries returned no output")
 	}
 
@@ -70,7 +73,7 @@ func TestFaultInjectionInvariants(t *testing.T) {
 				for _, vec := range []bool{true, false} {
 					name := fmt.Sprintf("%s/%s/par%d/vec%v", pt, kind.name, par, vec)
 					t.Run(name, func(t *testing.T) {
-						runFaultCombo(t, pt, kind.spec, par, vec, scanWant, joinWant)
+						runFaultCombo(t, pt, kind.spec, par, vec, scanWant, joinWant, tileWant)
 					})
 				}
 			}
@@ -78,7 +81,7 @@ func TestFaultInjectionInvariants(t *testing.T) {
 	}
 }
 
-func runFaultCombo(t *testing.T, point string, spec faultinject.Spec, par int, vec bool, scanWant, joinWant string) {
+func runFaultCombo(t *testing.T, point string, spec faultinject.Spec, par int, vec bool, scanWant, joinWant, tileWant string) {
 	db := setupFaultDB(t)
 	db.Parallelism(par)
 	db.Vectorize(vec)
@@ -92,11 +95,13 @@ func runFaultCombo(t *testing.T, point string, spec faultinject.Spec, par int, v
 	faultinject.Arm(point, spec)
 	defer faultinject.Disarm(point)
 
-	// Statement path: scan, join, DML.
+	// Statement path: scan, join, tiling, DML.
 	got, err := mustMaterialize(c, faultScanQ)
 	checkFaultResult(t, "scan", got, err, scanWant)
 	got, err = mustMaterialize(c, faultJoinQ)
 	checkFaultResult(t, "join", got, err, joinWant)
+	got, err = mustMaterialize(c, faultTileQ)
+	checkFaultResult(t, "tile", got, err, tileWant)
 	if _, err := c.ExecContext(context.Background(), faultDML); err != nil {
 		checkCleanFaultErr(t, "dml", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
 // setupGovernorDB builds an array big enough that scans do real work
@@ -304,5 +306,67 @@ func TestPanicContainment(t *testing.T) {
 	rows.Close()
 	if n == 0 {
 		t.Error("conn after panic: no rows")
+	}
+}
+
+// TestMemoryBudgetCoversTiling: what structural grouping keeps beside
+// its FROM scan — the window over the tiled array and one aggregate
+// state per anchor — is charged to the statement budget.
+func TestMemoryBudgetCoversTiling(t *testing.T) {
+	db := setupGovernorDB(t)
+	for _, tc := range []struct {
+		name, q string
+		limit   int64
+	}{
+		// Four anchors, but their tiles read the whole 16K-cell array.
+		{"window", `SELECT [x], [y], SUM(v) FROM gmatrix[0:2][0:2] GROUP BY gmatrix[x:x+64][y:y+64]`, 64 << 10},
+		// The FROM scan is the window here (384 KiB); 16K anchors of two
+		// aggregates need another few MiB of states.
+		{"states", `SELECT [x], [y], SUM(v), MAX(v) FROM gmatrix GROUP BY gmatrix[x][y]`, 1 << 20},
+	} {
+		db.SetMemoryLimit(0, 0)
+		want := db.MustQuery(tc.q).String()
+		db.SetMemoryLimit(tc.limit, 0)
+		if _, err := db.Query(tc.q); !errors.Is(err, ErrMemoryBudget) {
+			t.Errorf("%s: err = %v, want ErrMemoryBudget", tc.name, err)
+		}
+		if got := db.Metrics()["mem_in_use_bytes"]; got != 0 {
+			t.Errorf("%s: after budget abort: mem_in_use_bytes = %d, want 0", tc.name, got)
+		}
+		db.SetMemoryLimit(1<<30, 0)
+		if got, err := db.Query(tc.q); err != nil || got.String() != want {
+			t.Errorf("%s: under a generous limit: err = %v, same result = %v", tc.name, err, err == nil && got.String() == want)
+		}
+	}
+}
+
+// TestStatementTimeoutCancelsTiling: the anchor loop polls the
+// statement context, so a deadline that passes while a 1x1-tile
+// statement is folding stops it within a morsel instead of after all
+// 16K anchors. The second morsel is held past the deadline by an
+// injected delay; the fold must not reach many more.
+func TestStatementTimeoutCancelsTiling(t *testing.T) {
+	defer faultinject.Reset()
+	for _, par := range []int{1, 4} {
+		db := setupGovernorDB(t)
+		db.Parallelism(par)
+		db.SetStatementTimeout(150 * time.Millisecond)
+		faultinject.Arm("tile.fold", faultinject.Spec{Kind: faultinject.Delay, AfterN: 2, Delay: 400 * time.Millisecond})
+		start := time.Now()
+		_, err := db.Query(`SELECT [x], [y], SUM(v) FROM gmatrix GROUP BY gmatrix[x][y]`)
+		if !errors.Is(err, ErrStatementTimeout) {
+			t.Fatalf("par=%d: err = %v, want ErrStatementTimeout", par, err)
+		}
+		// 16K anchors are 16 morsels; the serial fold must stop at the
+		// delayed one (parallel peers may finish the rest meanwhile).
+		if hits := faultinject.Hits("tile.fold"); par == 1 && hits != 2 {
+			t.Errorf("serial fold started %d anchor morsels, want 2: the deadline passed in the second", hits)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("par=%d: canceled tiling took %v", par, d)
+		}
+		if got := pinned(db); got != 0 {
+			t.Errorf("par=%d: after timeout: snapshots_pinned = %d, want 0", par, got)
+		}
 	}
 }

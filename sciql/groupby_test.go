@@ -1,6 +1,9 @@
 package sciql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // groupLines renders a result as sorted "a|b|c" lines.
 func groupLines(t *testing.T, db *DB, q string) string {
@@ -73,5 +76,46 @@ func TestFloatGroupKeysGroupAsPrinted(t *testing.T) {
 				t.Errorf("vec=%v %s:\ngot:\n%s\nwant:\n%s", vec, q, got, want)
 			}
 		}
+	}
+}
+
+// TestDistinctAndUnionDedupeOnTypedRowKey: SELECT DISTINCT and UNION
+// key whole rows like GROUP BY keys a group — NULL is not the string
+// 'NULL' (at e6278ea rows were keyed by their printed form and the two
+// collapsed), -0.0 and 0.0 stay two rows, every NaN is one — over
+// string rows (encoded keys), float rows (word keys) and rows mixing
+// the two, keeping each row's first occurrence.
+func TestDistinctAndUnionDedupeOnTypedRowKey(t *testing.T) {
+	db := Open()
+	db.MustExec(`
+		CREATE TABLE c (k VARCHAR, n INTEGER);
+		INSERT INTO c VALUES ('NULL', 1), (NULL, 1), ('1', 1), ('NULL', 1), (NULL, 1), ('1', 2);
+		CREATE ARRAY f (i INTEGER DIMENSION[10], v FLOAT, w INTEGER DEFAULT 1);
+		UPDATE f SET v = 0.0 WHERE i < 2;
+		UPDATE f SET v = 0.0 * -1.0 WHERE i >= 2 AND i < 5;
+		UPDATE f SET v = SQRT(-1.0 - i) WHERE i >= 5 AND i < 8;
+		UPDATE f SET v = 2.5 WHERE i = 8;
+		UPDATE f SET w = NULL WHERE i = 1;
+	`)
+	for _, tc := range []struct{ q, want string }{
+		{`SELECT DISTINCT k, n FROM c`, "1|1\n1|2\nNULL|1\nNULL|1"},
+		{`SELECT k, n FROM c UNION SELECT k, n FROM c`, "1|1\n1|2\nNULL|1\nNULL|1"},
+		{`SELECT DISTINCT k FROM c`, "1\nNULL\nNULL"},
+		{`SELECT DISTINCT v FROM f`, "-0\n0\n2.5\nNULL\nNaN"},
+		{`SELECT v FROM f UNION SELECT v FROM f`, "-0\n0\n2.5\nNULL\nNaN"},
+		{`SELECT DISTINCT v, w FROM f`, "-0|1\n0|1\n0|NULL\n2.5|1\nNULL|1\nNaN|1"},
+		{`SELECT DISTINCT k, v FROM c, f WHERE n = 2 OR i = 9`, "1|-0\n1|0\n1|2.5\n1|NULL\n1|NaN\nNULL|NULL\nNULL|NULL"},
+	} {
+		for _, vec := range []bool{false, true} {
+			db.Vectorize(vec)
+			if got := groupLines(t, db, tc.q); got != tc.want {
+				t.Errorf("vec=%v %s:\ngot:\n%s\nwant:\n%s", vec, tc.q, got, tc.want)
+			}
+		}
+	}
+	// First occurrences, in input order.
+	rs := db.MustQuery(`SELECT DISTINCT k, n FROM c`)
+	if got, want := strings.Join(renderResult(rs), "\n"), "NULL|1\nNULL|1\n1|1\n1|2"; got != want {
+		t.Errorf("DISTINCT must keep first occurrences in order:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
