@@ -1,13 +1,23 @@
 # Tier-1 verification in one command: vet, lint, build, race-enabled tests.
 GO ?= go
 
-.PHONY: all check build test bench bench-smoke lint fuzz-smoke faulttest servertest
+.PHONY: all check build test bench bench-smoke lint fuzz-smoke faulttest servertest writetest
 
 all: check
 
-check: lint
+check: lint writetest
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# writetest runs the write path's oracles under the race detector: the
+# history checker (random multi-session histories against a sequential
+# model, on every storage scheme; each history's seed is logged and
+# printed with any failure, -history.seed=N replays it) and the
+# storage sharing tests (segment identity after Clone, concurrent
+# clones and readers, per-segment zone maps, the bulk-write face).
+writetest:
+	$(GO) test -race -run 'TestHistory' ./sciql/
+	$(GO) test -race -run 'TestCloneSharesUntouchedSegments|TestConcurrentClonesAndReaders|TestSegmentZoneMapsMatchFromScratch|TestBulkWriterMatchesGetAndSet|TestScanChunksMatchScan' ./internal/storage/
 
 # lint runs stock go vet plus the sciql-lint engine-invariant suite
 # (catalogaccess, hotloopflush, ctxpoll, lockorder) as a vettool.
@@ -23,7 +33,7 @@ lint:
 # panic, serial/parallel x vectorized/interpreted), the resource
 # governor's public knobs, and the pool's panic containment.
 faulttest:
-	$(GO) test -race -run 'TestFaultInjectionInvariants|TestPanicContainment|TestMemoryBudget|TestStatementTimeout|TestCallerCancelIsNotStatementTimeout|TestAdmission|TestDrain|TestGovernorTelemetrySeries' ./sciql/
+	$(GO) test -race -run 'TestFaultInjectionInvariants|TestScatterFault|TestPanicContainment|TestMemoryBudget|TestStatementTimeout|TestCallerCancelIsNotStatementTimeout|TestAdmission|TestDrain|TestGovernorTelemetrySeries' ./sciql/
 	$(GO) test -race ./internal/governor/ ./internal/faultinject/ ./internal/parallel/
 
 # fuzz-smoke gives each fuzz target a short budget; crash artifacts
@@ -49,7 +59,7 @@ test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -bench 'BenchmarkParallel|BenchmarkPreparedVsAdhoc|BenchmarkVectorizedScan|BenchmarkConcurrentReaders' -benchtime 2x -run '^$$' .
+	$(GO) test -bench 'BenchmarkParallel|BenchmarkPreparedVsAdhoc|BenchmarkVectorizedScan|BenchmarkConcurrentReaders|BenchmarkDML' -benchtime 2x -run '^$$' .
 
 # bench-smoke vets and smoke-tests the benchmark harness. bench/ is a
 # Go module of its own (it replaces repro with ../ and imports

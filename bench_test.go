@@ -764,3 +764,48 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 		})
 	}
 }
+
+// --- DML: small writes on large arrays --------------------------------------
+
+// dmlBenchDB builds a side x side array of the shape write_mixed
+// updates (two FLOATs and an INTEGER, no defaults, every cell loaded).
+func dmlBenchDB(b *testing.B, name string, side int) *sciql.DB {
+	b.Helper()
+	db := sciql.Open()
+	db.MustExec(fmt.Sprintf(`CREATE ARRAY %s (x INTEGER DIMENSION[%d], y INTEGER DIMENSION[%d], a FLOAT, b FLOAT, c INTEGER)`, name, side, side))
+	db.MustExec(fmt.Sprintf(`UPDATE %s SET a = x * %d + y, b = MOD(x * 7 + y, 1000), c = MOD(x + y, 16)`, name, side))
+	return db
+}
+
+// BenchmarkDMLUpdate updates a rotating 64x64 box (4 Ki cells) of a
+// 1 Mi-cell array, one autocommit statement per iteration. The cost
+// should follow the box — the segments it touches are copied, the
+// rest of the array is shared with the previous version — not the
+// array.
+func BenchmarkDMLUpdate(b *testing.B) {
+	db := dmlBenchDB(b, "big", 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, y := i%16*64, i/16%16*64
+		db.MustExec(fmt.Sprintf(`UPDATE big SET a = a + 1 WHERE x >= %d AND x < %d AND y >= %d AND y < %d`, x, x+64, y, y+64))
+	}
+}
+
+// BenchmarkDMLDelete deletes a rotating 16x16 box (256 cells) of a
+// 64 Ki-cell array and puts it back, so every iteration starts from a
+// full array. No line dies, so the cells are reset in place.
+func BenchmarkDMLDelete(b *testing.B) {
+	db := dmlBenchDB(b, "plate", 256)
+	db.MustExec(`CREATE ARRAY stage (x INTEGER DIMENSION[256], y INTEGER DIMENSION[256], a FLOAT, b FLOAT, c INTEGER)`)
+	db.MustExec(`INSERT INTO stage SELECT [x], [y], a, b, c FROM plate`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		box := fmt.Sprintf(`x >= %d AND x < %d AND y >= %d AND y < %d`, i%16*16, i%16*16+16, i/16%16*16, i/16%16*16+16)
+		db.MustExec(`DELETE FROM plate WHERE ` + box)
+		b.StopTimer()
+		db.MustExec(`INSERT INTO plate SELECT [x], [y], a, b, c FROM stage WHERE ` + box)
+		b.StartTimer()
+	}
+}

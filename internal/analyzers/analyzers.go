@@ -257,3 +257,23 @@ func isBatchVisitor(t types.Type) bool {
 	}
 	return isNamedType(sig.Params().At(0).Type(), "array", "ColumnBatch")
 }
+
+// isDatasetVisitor reports whether t is the executor's per-batch step
+// func(*Dataset) error (or bool): what scanChunk, and through it a DML
+// statement's walk, calls once per scan batch.
+func isDatasetVisitor(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
+		return false
+	}
+	switch r := sig.Results().At(0).Type(); {
+	case types.Identical(r, types.Universe.Lookup("error").Type()):
+	case types.Identical(r.Underlying(), types.Typ[types.Bool]):
+	default:
+		return false
+	}
+	return isNamedType(sig.Params().At(0).Type(), "internal/exec", "Dataset")
+}

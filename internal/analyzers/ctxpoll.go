@@ -17,8 +17,8 @@ import (
 // batch visitor (func(array.ColumnBatch) bool) every SELECT scan runs
 // through (scanChunk is the one place that walks a columnar chunk), or
 // the per-cell visitor (func(coords []int64, vals []value.Value) bool)
-// DML, tiling and ALTER still hand to Store.Scan. The analyzer requires
-// every such literal to contain one of:
+// ALTER, slicing and INSERT's shift still hand to Store.Scan. The
+// analyzer requires every such literal to contain one of:
 //
 //   - a ctx.Err() / ctx.Done() call on a context.Context value (once
 //     per batch; the `visited&1023 == 0` periodic pattern per cell),
@@ -34,6 +34,15 @@ import (
 // morsel of a pool fan-out, which polls between morsels itself — are
 // not loops and not checked.)
 //
+// Array DML is a consumer of the same scan: its per-batch step is a
+// dataset visitor (func(*Dataset) error, or bool) that scanChunk, the
+// polling driver, calls once per batch, and that is where bulk writes
+// (array.BulkWriter.Scatter, through dmlScan.scatter) belong. A loop
+// that scatters outside such a visitor — resetting the cells a DELETE
+// collected, block by block — writes a batch per iteration with no scan
+// polling for it, so it must poll itself; loops nested inside it ride
+// on its poll.
+//
 // PR 10 extends the same convention to the network server's
 // connection read loops in internal/server/pgwire: any for-loop that
 // pulls protocol frames (Reader.Peek under a poll deadline, or
@@ -48,8 +57,9 @@ import (
 // //lint:allow ctxpoll <reason>.
 var CtxPoll = &analysis.Analyzer{
 	Name: "ctxpoll",
-	Doc: "store-scan visitor literals (per cell and per column batch) and key-table build loops in internal/exec must " +
-		"poll ctx.Err()/Done() or Engine.canceled() so cancellation stops chunk-scale scans; connection read " +
+	Doc: "store-scan visitor literals (per cell and per column batch), key-table build loops and bulk-write loops " +
+		"outside a scan visitor in internal/exec must poll ctx.Err()/Done() or Engine.canceled() so cancellation " +
+		"stops chunk-scale scans and writes; connection read " +
 		"loops in internal/server/pgwire must poll a shutdown context between frames",
 	Run: runCtxPoll,
 }
@@ -65,6 +75,7 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
+		checkBulkWriteLoops(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			var loop *ast.BlockStmt
 			switch x := n.(type) {
@@ -95,6 +106,50 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
+}
+
+// checkBulkWriteLoops reports the outermost loops that scatter outside
+// a dataset visitor without polling.
+func checkBulkWriteLoops(pass *analysis.Pass, root ast.Node) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return !isDatasetVisitor(pass.TypeOf(x))
+		case *ast.ForStmt:
+			body = x.Body
+		case *ast.RangeStmt:
+			body = x.Body
+		}
+		if body == nil || !scatters(pass, body) {
+			return true
+		}
+		if !polls(pass, body) {
+			pass.Reportf(n.Pos(),
+				"bulk-write loop outside a scan visitor without a cancellation poll: check ctx.Err()/Done() or e.canceled() once per block scattered")
+		}
+		return false
+	})
+}
+
+// scatters reports whether body writes a batch of cells — a call to
+// BulkWriter.Scatter or to dmlScan.scatter, the one place that makes it
+// — outside any dataset visitor literal it contains.
+func scatters(pass *analysis.Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && isDatasetVisitor(pass.TypeOf(lit)) {
+			return false
+		}
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			if recv, method, ok := methodCall(call); ok {
+				found = method == "Scatter" && isNamedType(pass.TypeOf(recv), "array", "BulkWriter") ||
+					method == "scatter" && isNamedType(pass.TypeOf(recv), "internal/exec", "dmlScan")
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // runCtxPollServer checks the server read-loop rule: a for/range loop

@@ -182,7 +182,12 @@ type Store interface {
 	// lo..hi inclusive index values) of materialized cells. Bounded
 	// dimensions report their declared bounds.
 	Bounds() (lo, hi []int64, ok bool)
-	// Clone deep-copies the store.
+	// Clone returns an independent version of the store: no later write
+	// to either side — the source included — is visible to the other.
+	// The two may share structure until then (the storage schemes share
+	// every column segment and copy one when a write reaches it), and a
+	// store that is no longer written may be cloned, and read, by any
+	// number of goroutines at once.
 	Clone() Store
 }
 
@@ -237,9 +242,10 @@ func (r DimRange) Contains(v int64) bool {
 // typed columns: one Int (or Timestamp) vector per dimension holding
 // the cells' coordinates, then one vector per selected attribute — the
 // column layout of a scan result. Vectors may be zero-copy views of the
-// store's own columns, so a batch must never be written to; it stays
-// valid for as long as the store version it came from is not mutated in
-// place (the engine's copy-on-write catalog never does).
+// store's own segments, so a batch must never be written to; it stays
+// valid for as long as the store version it came from is not written
+// (the engine never writes a published version, and DML reads a clone
+// of the version it writes).
 type ColumnBatch []bat.Vector
 
 // Rows returns the number of cells in the batch.
@@ -268,6 +274,36 @@ type ColumnChunk func(max int, visit func(b ColumnBatch) bool)
 // arithmetically, everything else as typed gathers.
 type ColumnScanner interface {
 	ColumnChunks(target int, attrs []int, restrict []DimRange) []ColumnChunk
+}
+
+// Copied is what a write had to copy before it could write in place:
+// segments no other store version shares any more, and their bytes.
+type Copied struct {
+	Segments, Bytes int64
+}
+
+// BulkWriter is the columnar face DML reads and writes a store
+// through: the cells a statement ranges over come out as column
+// batches, and typed vectors go back in at coordinate columns.
+type BulkWriter interface {
+	// CoveredChunks is ColumnChunks(target, nil, restrict) over the
+	// cells an UPDATE or DELETE ranges over: when every dimension is
+	// bounded, every cell the dimensions cover and their CHECKs admit —
+	// a hole arrives as a row of NULLs — and the live cells otherwise.
+	CoveredChunks(target int, restrict []DimRange) []ColumnChunk
+	// Scatter sets attribute attr of the cell at (coords[0][i], ...,
+	// coords[nd-1][i]) to vals[i], for every row i, with the effect of
+	// one Set per row in row order; the coordinate columns are Int or
+	// Timestamp vectors without NULLs. It reports what the write
+	// privatized.
+	Scatter(coords []bat.Vector, attr int, vals bat.Vector) (Copied, error)
+}
+
+// CopyObserver is implemented by stores whose Clone shares structure
+// with its source: fn hears the byte count of every later copy a write
+// to this store makes. Clone does not carry the observer over.
+type CopyObserver interface {
+	ObserveCopies(fn func(bytes int64))
 }
 
 // AttrStats is the zone map of one attribute over one chunk: the
@@ -418,7 +454,7 @@ func (a *Array) CellCount() int64 {
 	return n
 }
 
-// Clone deep-copies the array.
+// Clone returns an independent version of the array (Store.Clone).
 func (a *Array) Clone() *Array {
 	return &Array{Name: a.Name, Schema: a.Schema, Store: a.Store.Clone()}
 }

@@ -273,11 +273,12 @@ type Catalog struct {
 	root    atomic.Pointer[Snapshot]
 	writeMu sync.Mutex
 	ver     atomic.Int64
-	// cloneCount/cloneBytes count copy-on-write object privatizations
-	// (ArrayForWrite, TableForWrite). Both are optional — telemetry
-	// instruments no-op on nil receivers — and cloneBytes is a
-	// documented estimate: 16 bytes per cell value, dimensions and
-	// attributes alike.
+	// cloneCount counts copy-on-write object privatizations
+	// (ArrayForWrite, TableForWrite) and cloneBytes the bytes they
+	// copied: for an array the segments its writes privatize, as the
+	// store reports them (the privatization itself shares everything),
+	// for a table its column vectors at 16 bytes a value. Both are
+	// optional — telemetry instruments no-op on nil receivers.
 	cloneCount *telemetry.Counter
 	cloneBytes *telemetry.Counter
 }
@@ -452,8 +453,10 @@ func (m *Mutation) touch(k string, schema bool) {
 }
 
 // ArrayForWrite returns a private, mutable version of the named
-// array: the first call clones the store (copy-on-write), later calls
-// return the same clone. ok is false when the name is not an array.
+// array: the first call clones the store — which shares every segment
+// with the version it came from and copies one only when a write
+// reaches it — later calls return the same clone. ok is false when the
+// name is not an array.
 func (m *Mutation) ArrayForWrite(name string) (*array.Array, bool) {
 	k := key(name)
 	a, ok := m.work.arrays[k]
@@ -466,7 +469,9 @@ func (m *Mutation) ArrayForWrite(name string) (*array.Array, bool) {
 		m.cloned[k] = true
 		m.touch(k, false)
 		m.c.cloneCount.Inc()
-		m.c.cloneBytes.Add(int64(a.Store.Len()) * int64(len(a.Schema.Dims)+len(a.Schema.Attrs)) * 16)
+		if obs, ok := a.Store.(array.CopyObserver); ok {
+			obs.ObserveCopies(m.c.cloneBytes.Add)
+		}
 	}
 	return a, true
 }

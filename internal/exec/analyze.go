@@ -15,6 +15,9 @@ import (
 // wrapped SELECT with a per-query profile armed and renders the same
 // tree annotated with the measured per-operator statistics.
 func (e *Engine) execExplain(s *ast.Explain, env *baseEnv) (*Dataset, error) {
+	if s.DML != nil {
+		return e.execExplainAnalyzeDML(s.DML, env)
+	}
 	if !s.Analyze {
 		return e.ExplainSelect(s.Select), nil
 	}
@@ -45,6 +48,31 @@ func (e *Engine) execExplainAnalyze(sel *ast.Select, env *baseEnv) (*Dataset, er
 	out := planLinesDataset(pl.RenderAnalyzed(analyzeAnnotator(prof)))
 	out.Append([]value.Value{value.NewString(e.executionModeLine(sel, pl))})
 	out.Append([]value.Value{value.NewString(fmt.Sprintf("analyze: rows=%d elapsed=%s", res.NumRows(), elapsed.Round(time.Microsecond)))})
+	return out, nil
+}
+
+// execExplainAnalyzeDML runs an UPDATE or DELETE — for real: it commits
+// like the bare statement — with the profile armed and reports the one
+// operator an array DML statement is: cells scanned, cells matched,
+// segments the write had to copy, and whether its expressions ran as
+// kernels (columnar) or through the row interpreter.
+func (e *Engine) execExplainAnalyzeDML(stmt ast.Statement, env *baseEnv) (*Dataset, error) {
+	prof := telemetry.NewProfile()
+	e.prof = prof
+	_, err := e.execStmt(stmt, env.params)
+	e.prof = nil
+	if err != nil {
+		return nil, err
+	}
+	var name string
+	switch s := stmt.(type) {
+	case *ast.Update:
+		name = "Update " + s.Table
+	case *ast.Delete:
+		name = "Delete " + s.Table
+	}
+	out := planLinesDataset(name + telemetry.RenderOp(&prof.DML, false))
+	out.Append([]value.Value{value.NewString(fmt.Sprintf("analyze: rows=%d elapsed=%s", prof.DML.RowsOut.Load(), time.Since(prof.Start).Round(time.Microsecond)))})
 	return out, nil
 }
 

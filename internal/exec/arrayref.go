@@ -473,46 +473,14 @@ func (e *Engine) rebaseForParam(src *array.Array, paramSchema *array.Schema) (*a
 	if len(paramSchema.Dims) != len(src.Schema.Dims) {
 		return nil, fmt.Errorf("parameter expects %d dimensions, got %d", len(paramSchema.Dims), len(src.Schema.Dims))
 	}
-	st, err := storage.New(*paramSchema, storage.Hints{})
-	if err != nil {
-		return nil, err
+	srcLo, _, _ := src.BoundingBox() // unknown only when src has no cell to move
+	out, err := e.rebuiltArray(src, *paramSchema, nil, func(dim int, c int64) (int64, bool) {
+		return paramSchema.Dims[dim].Index((c - srcLo[dim]) / max(src.Schema.Dims[dim].Step, 1)), true
+	}, nil)
+	if err == nil {
+		out.Name = src.Name + "_param"
 	}
-	out := &array.Array{Name: src.Name + "_param", Schema: *paramSchema, Store: st}
-	dst := make([]int64, len(paramSchema.Dims))
-	srcLo, _, err2 := src.BoundingBox()
-	if err2 != nil {
-		return out, nil // empty source: all holes
-	}
-	nAttrs := len(paramSchema.Attrs)
-	visited := 0
-	var scanErr error
-	src.Store.Scan(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&1023 == 0 {
-			if err := e.canceled(); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		for i, d := range paramSchema.Dims {
-			step := src.Schema.Dims[i].Step
-			if step <= 0 {
-				step = 1
-			}
-			ord := (coords[i] - srcLo[i]) / step
-			dst[i] = d.Index(ord)
-		}
-		for ai := 0; ai < nAttrs && ai < len(vals); ai++ {
-			if !vals[ai].Null {
-				_ = st.Set(dst, ai, vals[ai])
-			}
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return out, nil
+	return out, err
 }
 
 // callUDF resolves a non-builtin function call: catalog white-box

@@ -1,138 +1,208 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/array"
+	"repro/internal/bat"
 	"repro/internal/expr"
+	"repro/internal/faultinject"
 	"repro/internal/sql/ast"
 	"repro/internal/value"
 )
 
-// cellEnv exposes one array cell (dimension variables and attribute
-// values) as an environment; lookups may be qualified by the array
-// name (wavelet: WHERE img.y = d.y inside img's UPDATE).
-type cellEnv struct {
-	arrName string
-	vars    map[string]value.Value
-	outer   expr.Env
+// This file is the array DML of §3.2. UPDATE, DELETE and the general
+// SET are consumers of the columnar scan: the cells a statement ranges
+// over — for a bounded array every covered cell, holes included as
+// all-NULL rows — arrive as column batches with the statement's
+// dimension predicates pushed down, WHERE becomes a selection vector,
+// SET values become typed vectors (kernels where the expression
+// compiles, the interpreter over the rows of the same batch where it
+// does not), and the vectors are scattered into the private store
+// version through its bulk-write face. The statement reads a
+// structure-sharing snapshot of the array taken before its first
+// write, so every column reference sees the pre-statement value and no
+// batch view can alias a segment being written.
+
+// dmlScan is one statement's walk over its target array.
+type dmlScan struct {
+	e     *Engine
+	a     *array.Array
+	out   array.BulkWriter // the private version's write face
+	src   *scanSource      // the pre-statement snapshot
+	where ast.Expr         // residual predicate after pushdown
+	outer expr.Env
+	// cells, matched and copied are what the statement scanned,
+	// selected and had to privatize; interpreted is set when any batch
+	// went through the row interpreter.
+	cells, matched int64
+	copied         array.Copied
+	interpreted    bool
+	start          time.Time
 }
 
-func (c *cellEnv) Lookup(qual, name string) (value.Value, bool) {
-	if qual == "" || strings.EqualFold(qual, c.arrName) {
-		if v, ok := c.vars[strings.ToLower(name)]; ok {
-			return v, true
-		}
+// newDMLScan resolves the cells where ranges over in a: dimension
+// conjuncts of where restrict the scan, the rest filter its batches.
+func (e *Engine) newDMLScan(a *array.Array, where ast.Expr, outer expr.Env) (*dmlScan, error) {
+	out, ok := a.Store.(array.BulkWriter)
+	if !ok {
+		return nil, fmt.Errorf("array %s: %s storage offers no bulk write", a.Name, a.Store.Scheme())
 	}
-	if c.outer != nil {
-		return c.outer.Lookup(qual, name)
-	}
-	return value.Value{}, false
+	conjs := splitConjuncts(where)
+	consumed := make([]bool, len(conjs))
+	restrict := e.pushdownDims(a, a.Name, conjs, consumed, nil, outer)
+	src := &scanSource{arr: a.Clone(), cols: scanCols(a, a.Name), eff: effectiveSels(a, nil, restrict), covered: true, prof: e.prof, budget: e.budget}
+	return &dmlScan{e: e, a: a, out: out, src: src, where: andAll(unconsumed(conjs, consumed)), outer: outer, start: time.Now()}, nil
 }
 
-func (c *cellEnv) Param(name string) (value.Value, bool) {
-	if c.outer != nil {
-		return c.outer.Param(name)
-	}
-	return value.Value{}, false
-}
-
-// forEachCoveredCell iterates the cells an array UPDATE/DELETE ranges
-// over: for bounded arrays every covered coordinate (the paper: "all
-// cells covered by the dimensions exist"), for unbounded arrays the
-// materialized cells. restrict (pushed-down dimension predicates)
-// bounds the walk.
-func (e *Engine) forEachCoveredCell(a *array.Array, restrict map[int]dimSel, visit func(coords []int64, vals []value.Value) error) error {
-	nd, na := len(a.Schema.Dims), len(a.Schema.Attrs)
-	bounded := true
-	for _, d := range a.Schema.Dims {
-		if !d.Bounded() {
-			bounded = false
-			break
-		}
-	}
-	if !bounded {
-		var err error
-		visited := 0
-		a.Store.Scan(func(coords []int64, vals []value.Value) bool {
-			visited++
-			if visited&1023 == 0 {
-				if cerr := e.canceled(); cerr != nil {
-					err = cerr
-					return false
-				}
-			}
-			for di, s := range restrict {
-				if s.point && coords[di] != s.val {
-					return true
-				}
-				if !s.point && !s.full && (coords[di] < s.lo || coords[di] >= s.hi) {
-					return true
-				}
-			}
-			err = visit(coords, vals)
-			return err == nil
-		})
+// each hands visit the matching rows of every batch, in scan order, as
+// a dataset whose column list is its own (visit may replace columns;
+// the vectors may be views of the snapshot and must not be written).
+func (d *dmlScan) each(visit func(cur *Dataset) error) error {
+	e := d.e
+	chunks, err := e.scanChunks(d.src)
+	if err != nil {
 		return err
 	}
-	coords := make([]int64, nd)
-	vals := make([]value.Value, na)
-	var rec func(di int) error
-	rec = func(di int) error {
-		if di == nd {
-			if !a.ValidCoords(coords) {
-				return nil
-			}
-			for ai := 0; ai < na; ai++ {
-				vals[ai] = a.Store.Get(coords, ai)
-			}
-			return visit(coords, vals)
-		}
-		d := a.Schema.Dims[di]
-		step := d.Step
-		if step <= 0 {
-			step = 1
-		}
-		lo, hi := d.Start, d.End
-		if s, ok := restrict[di]; ok {
-			if s.point {
-				if !d.Contains(s.val) {
-					return nil
+	prog := e.vecCompile(d.where, d.src.cols, true)
+	ctx := e.ctx()
+	for _, chunk := range chunks {
+		var verr error
+		err := e.scanChunk(ctx, d.src, chunk, func(in *Dataset) bool {
+			n := in.NumRows()
+			d.cells += int64(n)
+			cur := &Dataset{Cols: in.Cols, Vecs: slices.Clone(in.Vecs)}
+			if d.where != nil {
+				p := prog
+				if p != nil && !p.validFor(in.Vecs) {
+					p = nil
 				}
-				coords[di] = s.val
-				return rec(di + 1)
-			}
-			if !s.full {
-				if s.lo > lo {
-					lo = s.lo
+				d.interpreted = d.interpreted || p == nil
+				var keep []int
+				if keep, verr = e.batchFilter(d.where, p, in, d.outer); verr != nil || len(keep) == 0 {
+					return verr == nil
 				}
-				if s.hi < hi {
-					hi = s.hi
+				if len(keep) < n {
+					cur = in.Gather(keep)
 				}
 			}
+			d.matched += int64(cur.NumRows())
+			verr = visit(cur)
+			return verr == nil
+		})
+		if err = cmp.Or(verr, err); err != nil {
+			return err
 		}
-		for v := lo; v < hi; v += step {
-			coords[di] = v
-			if err := rec(di + 1); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return rec(0)
+	return nil
 }
 
-func (e *Engine) makeCellEnv(a *array.Array, coords []int64, vals []value.Value, outer expr.Env) *cellEnv {
-	env := &cellEnv{arrName: a.Name, vars: make(map[string]value.Value, len(coords)+len(vals)), outer: outer}
-	for i, d := range a.Schema.Dims {
-		env.vars[strings.ToLower(d.Name)] = value.Value{Typ: d.Typ, I: coords[i]}
+// column evaluates x over every row of cur as a column of type typ:
+// through kernels when x compiles against the batch, row by row
+// otherwise. A value that does not coerce becomes NULL, and so does one
+// the attribute's CHECK rejects.
+func (d *dmlScan) column(x ast.Expr, cur *Dataset, at array.Attr) (bat.Vector, error) {
+	n := cur.NumRows()
+	var out bat.Vector
+	if p := d.e.vecCompile(x, cur.Cols, true); p != nil && p.validFor(cur.Vecs) {
+		out = coerceVector(p.eval(cur.Vecs, 0, n), at.Typ)
+	} else {
+		d.interpreted = true
+		vals := make([]value.Value, n)
+		env := &rowEnv{d: cur, outer: d.outer}
+		for env.row = 0; env.row < n; env.row++ {
+			v, err := d.e.Ev.Eval(x, env)
+			if err != nil {
+				return nil, err
+			}
+			vals[env.row] = coerceOrNull(v, at.Typ)
+		}
+		out = bat.FromValues(at.Typ, vals)
 	}
-	for i, at := range a.Schema.Attrs {
-		env.vars[strings.ToLower(at.Name)] = vals[i]
+	// SET a = b hands b's column through, maybe a view of the store.
+	return checkColumn(out, at, !slices.Contains(cur.Vecs, out)), nil
+}
+
+// checkColumn nullifies the values of v the attribute's CHECK rejects
+// (Fig. 2's sparse form), in place when v is the caller's own.
+func checkColumn(v bat.Vector, at array.Attr, owned bool) bat.Vector {
+	for i := 0; at.Check != nil && i < v.Len(); i++ {
+		if x := v.Get(i); !x.Null && !at.Check(x) {
+			if !owned {
+				v, owned = v.Clone(), true
+			}
+			v.Set(i, value.NewNull(at.Typ))
+		}
 	}
-	return env
+	return v
+}
+
+func coerceOrNull(v value.Value, t value.Type) value.Value {
+	cv, err := value.Coerce(v, t)
+	if err != nil {
+		return value.NewNull(t)
+	}
+	return cv
+}
+
+// coerceVector is value.Coerce over a column.
+func coerceVector(v bat.Vector, t value.Type) bat.Vector {
+	if vecBacked(v, t) {
+		return v
+	}
+	if src, ok := v.(*bat.IntVector); ok && t == value.Float {
+		return bat.ToFloat64(src)
+	}
+	vals := make([]value.Value, v.Len())
+	for i := range vals {
+		vals[i] = coerceOrNull(v.Get(i), t)
+	}
+	return bat.FromValues(t, vals)
+}
+
+// scatter writes vals into attribute ai of the cells at coords, behind
+// the dml.scatter fault point, and charges what the write privatized
+// and its position buffer to the statement.
+func (d *dmlScan) scatter(coords []bat.Vector, ai int, vals bat.Vector) error {
+	if err := faultinject.Hit("dml.scatter"); err != nil {
+		return err
+	}
+	copied, err := d.out.Scatter(coords, ai, vals)
+	d.copied.Segments += copied.Segments
+	d.copied.Bytes += copied.Bytes
+	if err != nil {
+		return err
+	}
+	return chargeBudget(d.e.budget, copied.Bytes+8*int64(vals.Len()))
+}
+
+// whole is a walk over every cell of the same snapshot, whatever the
+// statement's WHERE.
+func (d *dmlScan) whole() *dmlScan {
+	src := *d.src
+	src.eff = effectiveSels(d.a, nil, nil)
+	return &dmlScan{e: d.e, a: d.a, src: &src}
+}
+
+// finish publishes the statement's counts to the armed profile.
+func (d *dmlScan) finish() {
+	p := d.e.prof
+	if p == nil {
+		return
+	}
+	p.DML.AddNanos(time.Since(d.start))
+	p.DML.Cells.Add(d.cells)
+	p.DML.RowsOut.Add(d.matched)
+	mode := "columnar"
+	if d.interpreted {
+		mode = "interpreted"
+	}
+	p.DML.SetDetail(fmt.Sprintf("matched=%d segments_copied=%d %s", d.matched, d.copied.Segments, mode))
 }
 
 // --- UPDATE ------------------------------------------------------------------
@@ -159,98 +229,134 @@ func (e *Engine) updateArray(a *array.Array, s *ast.Update, outer expr.Env) erro
 			}
 		}
 	}
-	conjs := splitConjuncts(s.Where)
-	consumed := make([]bool, len(conjs))
-	restrict := e.pushdownDims(a, a.Name, conjs, consumed, nil, outer)
-	var residual []ast.Expr
-	for i, c := range conjs {
-		if !consumed[i] {
-			residual = append(residual, c)
-		}
+	d, err := e.newDMLScan(a, s.Where, outer)
+	if err != nil {
+		return err
 	}
-	where := andAll(residual)
-	return e.forEachCoveredCell(a, restrict, func(coords []int64, vals []value.Value) error {
-		env := e.makeCellEnv(a, coords, vals, outer)
-		if where != nil {
-			ok, err := e.Ev.EvalBool(where, env)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		// Assignments are applied sequentially so later SET clauses see
-		// earlier results (the NDVI pipeline relies on this).
+	defer d.finish()
+	nd := len(a.Schema.Dims)
+	return d.each(func(cur *Dataset) error {
+		// Assignments apply in order and later SET clauses see earlier
+		// results (the NDVI pipeline relies on this): each produced
+		// column replaces the attribute's in the batch. The batch's own
+		// columns are the snapshot's, so scattering one clause cannot
+		// change what the next one reads.
 		for _, asg := range s.Sets {
-			tCoords, ai, err := e.resolveAssignTarget(a, asg.Target, coords, env)
+			coords, ai, err := d.target(asg.Target, cur)
 			if err != nil {
 				return err
 			}
-			v, err := e.Ev.Eval(asg.Value, env)
+			vals, err := d.column(asg.Value, cur, a.Schema.Attrs[ai])
 			if err != nil {
 				return err
 			}
-			cv, err := value.Coerce(v, a.Schema.Attrs[ai].Typ)
-			if err != nil {
-				cv = value.NewNull(a.Schema.Attrs[ai].Typ)
+			cur.Vecs[nd+ai] = vals
+			if coords == nil {
+				coords = cur.Vecs[:nd:nd]
+			} else {
+				var keep []int
+				keep, coords = d.moveRows(coords, nil)
+				vals = vals.Gather(keep)
 			}
-			if err := e.writeCell(a, tCoords, ai, cv); err != nil {
+			if err := d.scatter(coords, ai, vals); err != nil {
 				return err
 			}
-			env.vars[strings.ToLower(a.Schema.Attrs[ai].Name)] = cv
 		}
 		return nil
 	})
 }
 
-// writeCell writes honoring attribute CHECK constraints (content
-// checks nullify failing values, Fig. 2's sparse form).
-func (e *Engine) writeCell(a *array.Array, coords []int64, attr int, v value.Value) error {
-	if !a.ValidCoords(coords) {
-		return nil // silently outside the valid domain
-	}
-	at := a.Schema.Attrs[attr]
-	if at.Check != nil && !v.Null && !at.Check(v) {
-		v = value.NewNull(at.Typ)
-	}
-	return a.Store.Set(coords, attr, v)
-}
-
-// resolveAssignTarget maps a SET target onto (coords, attr index).
-// Plain identifiers write the current cell; array references evaluate
-// their indexers under the cell environment (m[x].v writes row x).
-func (e *Engine) resolveAssignTarget(a *array.Array, target ast.Expr, cur []int64, env expr.Env) ([]int64, int, error) {
+// target resolves a SET target over the rows of cur: the attribute it
+// writes and, for an array reference (m[x].v writes row x), the
+// coordinate columns its indexers evaluate to under each row; nil
+// coords means every row writes its own cell.
+func (d *dmlScan) target(target ast.Expr, cur *Dataset) (coords []bat.Vector, ai int, err error) {
+	a := d.a
 	switch t := target.(type) {
 	case *ast.Ident:
-		ai := attrIndexFold(a, t.Name)
-		if ai < 0 {
+		if ai = attrIndexFold(a, t.Name); ai < 0 {
 			return nil, 0, fmt.Errorf("array %s has no attribute %s", a.Name, t.Name)
 		}
-		return cur, ai, nil
+		return nil, ai, nil
 	case *ast.ArrayRef:
 		id, ok := t.Base.(*ast.Ident)
 		if !ok || (!strings.EqualFold(id.Name, a.Name) && attrIndexFold(a, id.Name) < 0) {
 			return nil, 0, fmt.Errorf("assignment target must reference %s", a.Name)
 		}
-		sels, err := e.resolveIndexers(a, t.Indexers, env)
-		if err != nil {
+		if ai, err = pickAttr(a, t.Attr); err != nil {
 			return nil, 0, err
 		}
-		coords := make([]int64, len(sels))
-		for i, s := range sels {
-			if !s.point {
-				return nil, 0, fmt.Errorf("assignment target must use point indexes")
+		d.interpreted = true
+		n := cur.NumRows()
+		cols := make([][]int64, len(a.Schema.Dims))
+		for i := range cols {
+			cols[i] = make([]int64, n)
+		}
+		env := &rowEnv{d: cur, outer: d.outer}
+		for env.row = 0; env.row < n; env.row++ {
+			sels, err := d.e.resolveIndexers(a, t.Indexers, env)
+			if err != nil {
+				return nil, 0, err
 			}
-			coords[i] = s.val
+			for i, s := range sels {
+				if !s.point {
+					return nil, 0, fmt.Errorf("assignment target must use point indexes")
+				}
+				cols[i][env.row] = s.val
+			}
 		}
-		ai, err := pickAttr(a, t.Attr)
-		if err != nil {
-			return nil, 0, err
+		coords = make([]bat.Vector, len(cols))
+		for i, c := range cols {
+			coords[i] = bat.NewIntVector(c)
 		}
 		return coords, ai, nil
 	}
 	return nil, 0, fmt.Errorf("invalid assignment target %T", target)
+}
+
+// moveRows applies move to every coordinate of the cells at coords (nil
+// leaves them where they are) and returns the rows whose cell stays
+// inside the array's valid domain, with their new coordinate columns:
+// a write that lands outside is silently lost.
+func (d *dmlScan) moveRows(coords []bat.Vector, move func(dim int, c int64) (int64, bool)) (keep []int, moved []bat.Vector) {
+	n := coords[0].Len()
+	cols := make([][]int64, len(coords))
+	cell := make([]int64, len(coords))
+rows:
+	for i := 0; i < n; i++ {
+		for dim, c := range coords {
+			if c.IsNull(i) {
+				continue rows
+			}
+			cell[dim] = c.(*bat.IntVector).Ints()[i]
+			if move != nil {
+				var ok bool
+				if cell[dim], ok = move(dim, cell[dim]); !ok {
+					continue rows
+				}
+			}
+		}
+		if d.a.ValidCoords(cell) {
+			keep = append(keep, i)
+			for dim, c := range cell {
+				cols[dim] = append(cols[dim], c)
+			}
+		}
+	}
+	moved = make([]bat.Vector, len(cols))
+	for dim, c := range cols {
+		moved[dim] = bat.NewIntVectorValid(d.a.Schema.Dims[dim].Typ, c, nil, 0)
+	}
+	return keep, moved
+}
+
+// writeCell writes one cell, CHECK constraints honored (Array.Set); a
+// write outside the valid domain is silently ignored.
+func (e *Engine) writeCell(a *array.Array, coords []int64, attr int, v value.Value) error {
+	if !a.ValidCoords(coords) {
+		return nil
+	}
+	return a.Set(coords, attr, v)
 }
 
 // updateNestedArray handles SET <nested>[i][j] = expr over an
@@ -258,55 +364,42 @@ func (e *Engine) resolveAssignTarget(a *array.Array, target ast.Expr, cur []int6
 // nested array's cells (§3.2's payload example). The nested array is
 // cloned before mutation and written back into the (already private)
 // outer cell: boxed array values are shared across catalog versions
-// by the store's shallow clone, so writing in place would leak the
-// update into snapshots pinned by concurrent readers.
+// by the store's segments, so writing in place would leak the update
+// into snapshots pinned by concurrent readers.
 func (e *Engine) updateNestedArray(a *array.Array, ai int, ref *ast.ArrayRef, s *ast.Update, outer expr.Env) error {
-	return e.forEachCoveredCell(a, nil, func(coords []int64, vals []value.Value) error {
-		nv := vals[ai]
-		if nv.Null || nv.Typ != value.Array {
-			return nil
-		}
-		shared, ok := nv.A.(*array.Array)
-		if !ok {
-			return nil
-		}
-		nested := shared.Clone()
-		if err := a.Store.Set(append([]int64(nil), coords...), ai, value.NewArray(nested)); err != nil {
-			return err
-		}
-		outerCell := e.makeCellEnv(a, coords, vals, outer)
-		nd := len(nested.Schema.Dims)
-		return e.forEachCoveredCell(nested, nil, func(nc []int64, nvals []value.Value) error {
-			env := e.makeCellEnv(nested, nc, nvals, outerCell)
-			if s.Where != nil {
-				ok, err := e.Ev.EvalBool(s.Where, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
+	d, err := e.newDMLScan(a, nil, outer)
+	if err != nil {
+		return err
+	}
+	defer d.finish()
+	d.interpreted = true
+	nd := len(a.Schema.Dims)
+	return d.each(func(cur *Dataset) error {
+		payload := cur.Vecs[nd+ai]
+		for row := 0; row < cur.NumRows(); row++ {
+			nv := payload.Get(row)
+			shared, ok := nv.A.(*array.Array)
+			if nv.Null || nv.Typ != value.Array || !ok {
+				continue
 			}
-			v, err := e.Ev.Eval(s.Sets[0].Value, env)
-			if err != nil {
+			nested := shared.Clone()
+			cell := cur.Gather([]int{row})
+			if err := d.scatter(cell.Vecs[:nd], ai, bat.FromValues(value.Array, []value.Value{value.NewArray(nested)})); err != nil {
 				return err
 			}
 			nai, err := pickAttr(nested, ref.Attr)
 			if err != nil {
 				return err
 			}
-			cv, err := value.Coerce(v, nested.Schema.Attrs[nai].Typ)
-			if err != nil {
-				cv = value.NewNull(nested.Schema.Attrs[nai].Typ)
+			// An UPDATE of the nested array on its own: its cells see the
+			// outer cell's columns beneath their own.
+			inner := &ast.Update{Sets: []ast.Assign{{Target: &ast.Ident{Name: nested.Schema.Attrs[nai].Name}, Value: s.Sets[0].Value}}, Where: s.Where}
+			if err := e.updateArray(nested, inner, &rowEnv{d: cell, outer: outer}); err != nil {
+				return err
 			}
-			_ = nd
-			return nested.Store.Set(nc, nai, cv)
-		})
+		}
+		return nil
 	})
-}
-
-func (e *Engine) updateTable(t *catalogTable, s *ast.Update, outer expr.Env) error {
-	return e.updateTableImpl(t, s, outer)
 }
 
 // --- SET statement -------------------------------------------------------------
@@ -353,33 +446,20 @@ func (e *Engine) execSetStmt(s *ast.SetStmt, outer expr.Env) error {
 		if err != nil {
 			return err
 		}
-		var coordsList [][]int64
-		cur := make([]int64, len(sels))
-		var rec func(di int)
-		rec = func(di int) {
-			if di == len(sels) {
-				coordsList = append(coordsList, append([]int64(nil), cur...))
-				return
+		// The cells are the indexers' cross product in row-major order.
+		axes := make([][]int64, len(sels))
+		cells := 1
+		cache := newDimValuesCache(e.ctx())
+		for di, sl := range sels {
+			if axes[di], err = selCoords(sl, a, di, cache, nil); err != nil {
+				return err
 			}
-			sl := sels[di]
-			if sl.point {
-				cur[di] = sl.val
-				rec(di + 1)
-				return
-			}
-			step := sl.step
-			if step <= 0 {
-				step = 1
-			}
-			for v := sl.lo; v < sl.hi; v += step {
-				cur[di] = v
-				rec(di + 1)
-			}
+			cells *= len(axes[di])
 		}
-		rec(0)
-		if len(list.Elems) > len(coordsList) {
-			return fmt.Errorf("SET: %d values for %d cells", len(list.Elems), len(coordsList))
+		if len(list.Elems) > cells {
+			return fmt.Errorf("SET: %d values for %d cells", len(list.Elems), cells)
 		}
+		coords := make([]int64, len(sels))
 		for i, el := range list.Elems {
 			v, err := e.Ev.Eval(el, outer)
 			if err != nil {
@@ -389,46 +469,57 @@ func (e *Engine) execSetStmt(s *ast.SetStmt, outer expr.Env) error {
 			if err != nil {
 				return err
 			}
-			if err := e.writeCell(a, coordsList[i], ai, cv); err != nil {
+			for di, rem := len(axes)-1, i; di >= 0; di-- {
+				coords[di], rem = axes[di][rem%len(axes[di])], rem/len(axes[di])
+			}
+			if err := e.writeCell(a, coords, ai, cv); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	// General form: iterate covered cells; the target indexers are
-	// evaluated per cell (free variables bind to the cell coords).
-	return e.forEachCoveredCell(a, nil, func(coords []int64, vals []value.Value) error {
-		env := e.makeCellEnv(a, coords, vals, outer)
-		sels, err := e.resolveIndexers(a, ref.Indexers, env)
-		if err != nil {
-			return err
-		}
-		target := make([]int64, len(sels))
-		for i, sl := range sels {
-			if sl.point {
-				target[i] = sl.val
-			} else {
-				target[i] = coords[i]
+	// evaluated per cell (free variables bind to the cell coords), and
+	// a cell is written when it is the one they address.
+	d, err := e.newDMLScan(a, nil, outer)
+	if err != nil {
+		return err
+	}
+	defer d.finish()
+	d.interpreted = true
+	nd := len(a.Schema.Dims)
+	return d.each(func(cur *Dataset) error {
+		var keep []int
+		var vals []value.Value
+		env := &rowEnv{d: cur, outer: outer}
+	rows:
+		for env.row = 0; env.row < cur.NumRows(); env.row++ {
+			sels, err := e.resolveIndexers(a, ref.Indexers, env)
+			if err != nil {
+				return err
 			}
-		}
-		// Only write when this cell is the addressed one.
-		for i := range target {
-			if target[i] != coords[i] {
-				return nil
+			for i, sl := range sels {
+				if sl.point && sl.val != cur.Vecs[i].Get(env.row).I {
+					continue rows
+				}
 			}
+			v, err := e.Ev.Eval(s.Assign.Value, env)
+			if err != nil {
+				return err
+			}
+			if guarded && v.Null {
+				continue
+			}
+			at := a.Schema.Attrs[ai]
+			if v = coerceOrNull(v, at.Typ); at.Check != nil && !v.Null && !at.Check(v) {
+				v = value.NewNull(at.Typ)
+			}
+			keep, vals = append(keep, env.row), append(vals, v)
 		}
-		v, err := e.Ev.Eval(s.Assign.Value, env)
-		if err != nil {
-			return err
-		}
-		if guarded && v.Null {
+		if len(keep) == 0 {
 			return nil
 		}
-		cv, err := value.Coerce(v, a.Schema.Attrs[ai].Typ)
-		if err != nil {
-			cv = value.NewNull(a.Schema.Attrs[ai].Typ)
-		}
-		return e.writeCell(a, coords, ai, cv)
+		return d.scatter(cur.Gather(keep).Vecs[:nd], ai, bat.FromValues(a.Schema.Attrs[ai].Typ, vals))
 	})
 }
 
@@ -522,53 +613,24 @@ func defaultFor(a *array.Array, coords []int64, ai int) value.Value {
 	return at.Default
 }
 
+// shiftForInsert moves every cell at or above at one step up along
+// each dimension, into a fresh store; a cell moved past a fixed bound
+// is lost.
 func (e *Engine) shiftForInsert(a *array.Array, at []int64) error {
-	st, err := e.newStore(a.Name, a.Schema)
+	d, err := e.newDMLScan(a, nil, nil)
 	if err != nil {
 		return err
 	}
-	moved := make([]int64, len(at))
-	var werr error
-	visited := 0
-	a.Store.Scan(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&1023 == 0 {
-			if err := e.canceled(); err != nil {
-				werr = err
-				return false
-			}
+	out, err := d.rebuild(a.Schema, func(dim int, c int64) (int64, bool) {
+		if c >= at[dim] {
+			c += max(a.Schema.Dims[dim].Step, 1)
 		}
-		copy(moved, coords)
-		for d := range moved {
-			step := a.Schema.Dims[d].Step
-			if step <= 0 {
-				step = 1
-			}
-			if moved[d] >= at[d] {
-				moved[d] += step
-			}
-		}
-		tmp := &array.Array{Name: a.Name, Schema: a.Schema, Store: st}
-		if !tmp.ValidCoords(moved) {
-			return true // shifted past a fixed bound: lost
-		}
-		for ai, v := range vals {
-			if err := st.Set(moved, ai, v); err != nil {
-				werr = err
-				return false
-			}
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
+		return c, true
+	}, nil)
+	if err == nil {
+		a.Store = out.a.Store
 	}
-	a.Store = st
-	return nil
-}
-
-func (e *Engine) insertTable(t *catalogTable, s *ast.Insert, outer expr.Env) error {
-	return e.insertTableImpl(t, s, outer)
+	return err
 }
 
 // --- DELETE ---------------------------------------------------------------------
@@ -578,7 +640,7 @@ func (e *Engine) execDelete(s *ast.Delete, outer expr.Env) error {
 		return e.deleteArray(a, s, outer)
 	}
 	if t, ok := e.mut.TableForWrite(s.Table); ok {
-		return e.deleteTableImpl(t, s, outer)
+		return e.deleteTable(t, s, outer)
 	}
 	return fmt.Errorf("DELETE: no such table or array %s", s.Table)
 }
@@ -586,116 +648,190 @@ func (e *Engine) execDelete(s *ast.Delete, outer expr.Env) error {
 // deleteArray implements the anchor-kill semantics of §3.2: matched
 // cells are deleted; any complete dimension line whose cells are all
 // deleted is taken out, relocating the remaining cells toward the
-// lower bounds; vacated cells reset to the attribute defaults.
+// lower bounds; vacated cells reset to the attribute defaults, and
+// every other cell — a hole included — stays what it was. Only a dying
+// line makes cells move: without one the matched cells are reset where
+// they are.
 func (e *Engine) deleteArray(a *array.Array, s *ast.Delete, outer expr.Env) error {
+	d, err := e.newDMLScan(a, s.Where, outer)
+	if err != nil {
+		return err
+	}
+	defer d.finish()
 	nd := len(a.Schema.Dims)
-	matched := make(map[string]bool)
-	// lineTotal/lineDead count valid vs matched cells per (dim, value).
-	lineTotal := make([]map[int64]int64, nd)
-	lineDead := make([]map[int64]int64, nd)
-	for d := 0; d < nd; d++ {
-		lineTotal[d] = make(map[int64]int64)
-		lineDead[d] = make(map[int64]int64)
+	// matched collects the coordinates of the matched cells, a typed
+	// column per dimension; dead counts them per dimension line.
+	matched := make([]bat.Vector, nd)
+	dead := make([]map[int64]int64, nd)
+	for dim := range dead {
+		matched[dim] = bat.New(a.Schema.Dims[dim].Typ, 0)
+		dead[dim] = make(map[int64]int64)
 	}
-	err := e.forEachCoveredCell(a, nil, func(coords []int64, vals []value.Value) error {
-		hit := true
-		if s.Where != nil {
-			env := e.makeCellEnv(a, coords, vals, outer)
-			ok, err := e.Ev.EvalBool(s.Where, env)
-			if err != nil {
-				return err
-			}
-			hit = ok
+	err = d.each(func(cur *Dataset) error {
+		for dim := 0; dim < nd; dim++ {
+			matched[dim] = bat.Concat(matched[dim], cur.Vecs[dim])
+			countLines(dead[dim], cur.Vecs[dim])
 		}
-		for d := 0; d < nd; d++ {
-			lineTotal[d][coords[d]]++
-			if hit {
-				lineDead[d][coords[d]]++
-			}
+		return chargeBudget(e.budget, 8*int64(nd*cur.NumRows()))
+	})
+	if err != nil || d.matched == 0 {
+		return err
+	}
+	// A line dies when the statement matched every cell on it. The lines
+	// of a bounded array without dimension CHECKs all have the size the
+	// other dimensions span, so most statements are cleared right here;
+	// anything else counts the cells of every line in one more pass.
+	sized, volume := true, int64(1)
+	for _, spec := range a.Schema.Dims {
+		sized = sized && spec.Bounded() && spec.Check == nil
+		volume *= max(spec.Size(), 1)
+	}
+	suspect := !sized
+	for dim, lines := range dead {
+		for _, n := range lines {
+			suspect = suspect || n >= volume/max(a.Schema.Dims[dim].Size(), 1)
 		}
-		if hit {
-			matched[coordKey(coords)] = true
+	}
+	if !suspect {
+		return d.reset(matched)
+	}
+	size := make([]map[int64]int64, nd)
+	for dim := range size {
+		size[dim] = make(map[int64]int64)
+	}
+	err = d.whole().each(func(cur *Dataset) error {
+		for dim := range size {
+			countLines(size[dim], cur.Vecs[dim])
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if len(matched) == 0 {
-		return nil
-	}
-	// Surviving line values per dimension, remapped onto the low end.
+	// The surviving lines of every dimension close up onto its low end,
+	// in order (an unbounded one from its first survivor); every cell
+	// on them moves along, and the matched ones are reset where they
+	// arrive.
+	dying := false
 	remap := make([]map[int64]int64, nd)
-	for d := 0; d < nd; d++ {
-		var survive []int64
-		for v, total := range lineTotal[d] {
-			if lineDead[d][v] < total {
-				survive = append(survive, v)
+	for dim, spec := range a.Schema.Dims {
+		remap[dim] = make(map[int64]int64)
+		next := spec.Start
+		for _, c := range slices.Sorted(maps.Keys(size[dim])) {
+			if dead[dim][c] >= size[dim][c] {
+				dying = true
+				continue
 			}
-		}
-		sort.Slice(survive, func(i, j int) bool { return survive[i] < survive[j] })
-		remap[d] = make(map[int64]int64, len(survive))
-		dim := a.Schema.Dims[d]
-		step := dim.Step
-		if step <= 0 {
-			step = 1
-		}
-		start := dim.Start
-		if start == array.UnboundedLow {
-			if len(survive) > 0 {
-				start = survive[0]
-			} else {
-				start = 0
+			if next == array.UnboundedLow {
+				next = c
 			}
-		}
-		for rank, v := range survive {
-			remap[d][v] = start + int64(rank)*step
+			remap[dim][c] = next
+			next += max(spec.Step, 1)
 		}
 	}
-	st, err := e.newStore(a.Name, a.Schema)
+	if !dying {
+		return d.reset(matched)
+	}
+	move := func(dim int, c int64) (int64, bool) {
+		c, ok := remap[dim][c]
+		return c, ok
+	}
+	out, err := d.rebuild(a.Schema, move, nil)
 	if err != nil {
 		return err
 	}
-	nc := make([]int64, nd)
-	var werr error
-	visited := 0
-	a.Store.Scan(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&1023 == 0 {
-			if err := e.canceled(); err != nil {
-				werr = err
-				return false
-			}
-		}
-		if matched[coordKey(coords)] {
-			return true
-		}
-		for d := 0; d < nd; d++ {
-			m, ok := remap[d][coords[d]]
-			if !ok {
-				return true
-			}
-			nc[d] = m
-		}
-		for ai, v := range vals {
-			if err := st.Set(nc, ai, v); err != nil {
-				werr = err
-				return false
-			}
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
+	_, moved := out.moveRows(matched, move)
+	if err := out.reset(moved); err != nil {
+		return err
 	}
-	a.Store = st
+	a.Store = out.a.Store
 	return nil
 }
 
-func coordKey(coords []int64) string {
-	var sb strings.Builder
-	for _, c := range coords {
-		fmt.Fprintf(&sb, "%d,", c)
+// countLines adds the cells of a coordinate column to the per-line
+// counts. Coordinates repeat in runs along all but the fastest
+// dimension, so a run is counted at a time.
+func countLines(lines map[int64]int64, coords bat.Vector) {
+	col := coords.(*bat.IntVector).Ints()
+	for i := 0; i < len(col); {
+		j := i + 1
+		for j < len(col) && col[j] == col[i] {
+			j++
+		}
+		lines[col[i]] += int64(j - i)
+		i = j
 	}
-	return sb.String()
+}
+
+// reset sets every attribute of the cells at coords to its default
+// (content CHECKs applied).
+func (d *dmlScan) reset(coords []bat.Vector) error {
+	a := d.a
+	cell := make([]int64, len(coords))
+	return d.scatterBlocks(coords, func(ai, _, _ int, block []bat.Vector) bat.Vector {
+		at := a.Schema.Attrs[ai]
+		vals := bat.Broadcast(coerceOrNull(defaultFor(a, cell, ai), at.Typ), at.Typ, block[0].Len())
+		for i := 0; at.DefaultFn != nil && i < vals.Len(); i++ {
+			for dim, c := range block {
+				cell[dim] = c.(*bat.IntVector).Ints()[i]
+			}
+			vals.Set(i, coerceOrNull(at.DefaultFn(cell), at.Typ))
+		}
+		return checkColumn(vals, at, true)
+	})
+}
+
+// scatterBlocks writes every attribute of the cells at coords, a block
+// of rows [lo, hi) at a time with a poll between blocks; column gives
+// attribute ai's values for the block.
+func (d *dmlScan) scatterBlocks(coords []bat.Vector, column func(ai, lo, hi int, block []bat.Vector) bat.Vector) error {
+	block := make([]bat.Vector, len(coords))
+	for lo, n := 0, coords[0].Len(); lo < n; lo += vecBatchRows {
+		if err := d.e.canceled(); err != nil {
+			return err
+		}
+		hi := min(lo+vecBatchRows, n)
+		for dim, c := range coords {
+			block[dim] = bat.ViewRange(c, lo, hi)
+		}
+		for ai := range d.a.Schema.Attrs {
+			if err := d.scatter(block, ai, column(ai, lo, hi, block)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// rebuild walks every cell of the snapshot into a fresh, default-filled
+// store of schema sch (whose first attributes are a's), each at the
+// coordinates move gives it (moveRows), and returns the walk of the new
+// array; extra, if any, runs on every batch after its cells are copied.
+func (d *dmlScan) rebuild(sch array.Schema, move func(dim int, c int64) (int64, bool), extra func(d, out *dmlScan, cur *Dataset) error) (*dmlScan, error) {
+	a := d.a
+	st, err := d.e.newStore(a.Name, sch)
+	if err != nil {
+		return nil, err
+	}
+	out := &dmlScan{e: d.e, a: &array.Array{Name: a.Name, Schema: sch, Store: st}, out: st.(array.BulkWriter)}
+	nd := len(a.Schema.Dims)
+	return out, d.whole().each(func(cur *Dataset) error {
+		keep, moved := out.moveRows(cur.Vecs[:nd], move)
+		if len(keep) == 0 {
+			return nil
+		}
+		if len(keep) < cur.NumRows() || move != nil {
+			cur = cur.Gather(keep)
+			copy(cur.Vecs, moved)
+		}
+		for ai := range min(len(a.Schema.Attrs), len(sch.Attrs)) {
+			if err := out.scatter(cur.Vecs[:nd], ai, cur.Vecs[nd+ai]); err != nil {
+				return err
+			}
+		}
+		if extra != nil {
+			return extra(d, out, cur)
+		}
+		return nil
+	})
 }

@@ -266,13 +266,18 @@ func (e *Engine) runWrite(fn func() error) error {
 		// mutation under a savepoint, so a statement that fails
 		// mid-execution leaves no partial effects in the transaction
 		// (statement atomicity — a later COMMIT publishes only the
-		// statements that succeeded).
-		sp := e.mut.Savepoint()
-		if err := fn(); err != nil {
-			e.mut.RollbackTo(sp)
-			return err
-		}
-		return nil
+		// statements that succeeded). A panicking statement, contained
+		// at the governance boundary, rolls back the same way.
+		m, sp := e.mut, e.mut.Savepoint()
+		done := false
+		defer func() {
+			if !done {
+				m.RollbackTo(sp)
+			}
+		}()
+		err := fn()
+		done = err == nil
+		return err
 	}
 	m := e.Cat.BeginExclusive()
 	e.mut = m
@@ -990,33 +995,14 @@ func (e *Engine) alterDimension(a *array.Array, dimName string, spec *ast.DimSpe
 	newSchema := a.Schema
 	newSchema.Dims = append([]array.Dimension(nil), a.Schema.Dims...)
 	newSchema.Dims[di] = *nd
-	st, err := e.newStore(a.Name, newSchema)
+	nb, err := e.rebuiltArray(a, newSchema, env, func(dim int, c int64) (int64, bool) {
+		if dim == di {
+			c += delta
+		}
+		return c, true
+	}, nil)
 	if err != nil {
 		return err
-	}
-	nb := &array.Array{Name: a.Name, Schema: newSchema, Store: st}
-	visited := 0
-	var scanErr error
-	a.Store.Scan(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&1023 == 0 {
-			if err := e.canceled(); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		nc := append([]int64(nil), coords...)
-		nc[di] += delta
-		if !nb.ValidCoords(nc) {
-			return true
-		}
-		for ai, v := range vals {
-			_ = st.Set(nc, ai, v)
-		}
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
 	}
 	e.mut.ReplaceArray(nb)
 	return nil
@@ -1032,55 +1018,39 @@ func (e *Engine) addAttribute(a *array.Array, col *ast.ColDef, env expr.Env) err
 		// derived coordinate system (§7.2.1).
 		col.IsDim = false
 	}
+	added := array.Attr{Name: col.Name, Typ: col.Type, Default: value.NewNull(col.Type)}
 	newSchema := a.Schema
-	newSchema.Attrs = append(append([]array.Attr(nil), a.Schema.Attrs...),
-		array.Attr{Name: col.Name, Typ: col.Type, Default: value.NewNull(col.Type)})
-	st, err := e.newStore(a.Name, newSchema)
-	if err != nil {
-		return err
-	}
-	nb := &array.Array{Name: a.Name, Schema: newSchema, Store: st}
-	nAttrs := len(a.Schema.Attrs)
-	var evalErr error
-	visited := 0
-	a.Store.Scan(func(coords []int64, vals []value.Value) bool {
-		visited++
-		if visited&1023 == 0 {
-			if err := e.canceled(); err != nil {
-				evalErr = err
-				return false
-			}
+	newSchema.Attrs = append(append([]array.Attr(nil), a.Schema.Attrs...), added)
+	nb, err := e.rebuiltArray(a, newSchema, env, nil, func(d, out *dmlScan, cur *Dataset) error {
+		if col.Default == nil {
+			return nil
 		}
-		for ai, v := range vals {
-			_ = st.Set(coords, ai, v)
+		vals, err := d.column(col.Default, cur, added)
+		if err != nil {
+			return err
 		}
-		nv := value.NewNull(col.Type)
-		if col.Default != nil {
-			cellEnv := &expr.MapEnv{Vars: make(map[string]value.Value), Parent: env}
-			for i, d := range a.Schema.Dims {
-				cellEnv.Vars[strings.ToLower(d.Name)] = value.Value{Typ: d.Typ, I: coords[i]}
-			}
-			for i, at := range a.Schema.Attrs {
-				cellEnv.Vars[strings.ToLower(at.Name)] = vals[i]
-			}
-			v, err := e.Ev.Eval(col.Default, cellEnv)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			cv, err := value.Coerce(v, col.Type)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			nv = cv
-		}
-		_ = st.Set(coords, nAttrs, nv)
-		return true
+		return out.scatter(cur.Vecs[:len(a.Schema.Dims)], len(a.Schema.Attrs), vals)
 	})
-	if evalErr != nil {
-		return fmt.Errorf("ALTER ARRAY %s ADD %s: %w", a.Name, col.Name, evalErr)
+	if err != nil {
+		return fmt.Errorf("ALTER ARRAY %s ADD %s: %w", a.Name, col.Name, err)
 	}
 	e.mut.ReplaceArray(nb)
 	return nil
+}
+
+// rebuiltArray copies the live cells of a, each at the coordinates
+// move gives it (nil: where it is), into a fresh array of the given
+// schema — a's attributes first — and calls extra, if any, on every
+// batch with the walk of a and of the new array.
+func (e *Engine) rebuiltArray(a *array.Array, sch array.Schema, env expr.Env, move func(dim int, c int64) (int64, bool), extra func(d, out *dmlScan, cur *Dataset) error) (*array.Array, error) {
+	d, err := e.newDMLScan(a, nil, env)
+	if err != nil {
+		return nil, err
+	}
+	d.src.covered = false
+	out, err := d.rebuild(sch, move, extra)
+	if err != nil {
+		return nil, err
+	}
+	return out.a, nil
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/array"
 	"repro/internal/sql/parser"
 	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // TestTilingGroupCountProperty: overlapping tiling over an n×n dense
@@ -201,6 +203,45 @@ func TestNestedPayloadUpdate(t *testing.T) {
 	}
 	if nd := len(a.Schema.Attrs[0].Nested.Dims); nd != 2 {
 		t.Fatalf("nested dims = %d, want 2", nd)
+	}
+	nested := func(base float64) *array.Array {
+		st, err := storage.New(*a.Schema.Attrs[0].Nested, storage.Hints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := int64(0); x < 2; x++ {
+			for y := int64(0); y < 2; y++ {
+				if err := st.Set([]int64{x, y}, 0, value.NewFloat(base+float64(x*2+y))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return &array.Array{Name: "payload", Schema: *a.Schema.Attrs[0].Nested, Store: st}
+	}
+	before := []*array.Array{nested(-1), nested(10)}
+	for i, n := range before {
+		if err := a.Store.Set([]int64{int64(i)}, 0, value.NewArray(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The free variables range over the nested cells; the outer cell's
+	// dimension is in scope beneath them.
+	run(t, e, `UPDATE experiment SET payload[x0][x1] = run * 100 + x0 * 2 + x1 WHERE payload[x0][x1] > 0`, nil)
+	after, _ := e.Cat.Array("experiment")
+	for i, want := range [][]float64{{-1, 0, 2, 3}, {100, 101, 102, 103}} {
+		got := after.Store.Get([]int64{int64(i)}, 0).A.(*array.Array)
+		if got == before[i] {
+			t.Errorf("run %d: the nested array was written in place", i)
+		}
+		for p, w := range want {
+			c := []int64{int64(p / 2), int64(p % 2)}
+			if v := got.Get(c, 0).AsFloat(); v != w {
+				t.Errorf("run %d payload%v = %v, want %v", i, c, v, w)
+			}
+			if v := before[i].Get(c, 0).AsFloat(); v != []float64{-1, 10}[i]+float64(p) {
+				t.Errorf("run %d: the version a reader may hold changed at %v: %v", i, c, v)
+			}
+		}
 	}
 }
 

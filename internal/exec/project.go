@@ -334,6 +334,10 @@ func dimType(t value.Type) value.Type {
 //     bounds").
 func (e *Engine) fillArrayFromDataset(a *array.Array, ds *Dataset) error {
 	nd, na := len(a.Schema.Dims), len(a.Schema.Attrs)
+	out, ok := a.Store.(array.BulkWriter)
+	if !ok {
+		return fmt.Errorf("array %s: %s storage offers no bulk write", a.Name, a.Store.Scheme())
+	}
 	var dimCols, attrCols []int
 	for i, c := range ds.Cols {
 		if c.IsDim {
@@ -343,48 +347,35 @@ func (e *Engine) fillArrayFromDataset(a *array.Array, ds *Dataset) error {
 		}
 	}
 	n := ds.NumRows()
+	coords := make([]bat.Vector, nd)
 	switch {
 	case len(dimCols) == nd && nd > 0:
 		// Dimension-qualified mapping.
 	case len(dimCols) == 0 && ds.NumCols() == nd+na:
-		dimCols = nil
-		for i := 0; i < nd; i++ {
-			dimCols = append(dimCols, i)
-		}
-		attrCols = nil
-		for i := nd; i < nd+na; i++ {
-			attrCols = append(attrCols, i)
-		}
+		dimCols, attrCols = attrCols[:nd], attrCols[nd:]
 	case len(dimCols) == 0 && ds.NumCols() == na:
-		// Fill in row-major dimension order.
+		// Fill in row-major dimension order (last dimension fastest).
 		lo, hi, err := a.BoundingBox()
 		if err != nil {
 			return fmt.Errorf("array %s: cannot fill an unbounded empty array positionally", a.Name)
 		}
-		coords := append([]int64(nil), lo...)
+		cols := make([][]int64, nd)
+		for d := range cols {
+			cols[d] = make([]int64, n)
+			coords[d] = bat.NewIntVector(cols[d])
+		}
+		cell := append([]int64(nil), lo...)
 		for r := 0; r < n; r++ {
-			for ai := 0; ai < na; ai++ {
-				v := ds.Vecs[attrCols[ai]].Get(r)
-				if a.ValidCoords(coords) {
-					if err := a.Set(coords, ai, v); err != nil {
-						return err
-					}
-				}
-			}
-			// Advance row-major (last dimension fastest).
 			for d := nd - 1; d >= 0; d-- {
-				step := a.Schema.Dims[d].Step
-				if step <= 0 {
-					step = 1
-				}
-				coords[d] += step
-				if coords[d] <= hi[d] {
+				cols[d][r] = cell[d]
+			}
+			for d := nd - 1; d >= 0; d-- {
+				if cell[d] += max(a.Schema.Dims[d].Step, 1); cell[d] <= hi[d] {
 					break
 				}
-				coords[d] = lo[d]
+				cell[d] = lo[d]
 			}
 		}
-		return nil
 	default:
 		return fmt.Errorf("array %s: cannot map %d columns (%d dim-qualified) onto %d dims + %d attrs",
 			a.Name, ds.NumCols(), len(dimCols), nd, na)
@@ -392,30 +383,20 @@ func (e *Engine) fillArrayFromDataset(a *array.Array, ds *Dataset) error {
 	if len(attrCols) != na {
 		return fmt.Errorf("array %s: %d attribute columns for %d attributes", a.Name, len(attrCols), na)
 	}
-	coords := make([]int64, nd)
-	for r := 0; r < n; r++ {
-		valid := true
-		for d, ci := range dimCols {
-			v := ds.Vecs[ci].Get(r)
-			if v.Null {
-				valid = false
-				break
-			}
-			coords[d] = v.AsInt()
-		}
-		if !valid || !a.ValidCoords(coords) {
-			continue
-		}
-		for ai, ci := range attrCols {
-			v := ds.Vecs[ci].Get(r)
-			cv, err := value.Coerce(v, a.Schema.Attrs[ai].Typ)
-			if err != nil {
-				cv = value.NewNull(a.Schema.Attrs[ai].Typ)
-			}
-			if err := a.Set(coords, ai, cv); err != nil {
-				return err
-			}
+	for d, ci := range dimCols {
+		if coords[d] = ds.Vecs[ci]; coords[d].Type() != value.Timestamp {
+			coords[d] = coerceVector(coords[d], value.Int)
 		}
 	}
-	return nil
+	// Rows with a NULL coordinate or outside the valid domain are
+	// dropped; values are coerced and CHECKed like any array write.
+	w := &dmlScan{e: e, a: a, out: out}
+	keep, cells := w.moveRows(coords, nil)
+	if len(keep) == 0 {
+		return nil
+	}
+	return w.scatterBlocks(cells, func(ai, lo, hi int, _ []bat.Vector) bat.Vector {
+		at := a.Schema.Attrs[ai]
+		return checkColumn(coerceVector(ds.Vecs[attrCols[ai]].Gather(keep[lo:hi]), at.Typ), at, true)
+	})
 }

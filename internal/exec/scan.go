@@ -34,6 +34,11 @@ type scanSource struct {
 	// skip holds the compiled zone-map skip conditions; nil when chunk
 	// skipping is off or nothing in the statement can prune a chunk.
 	skip *chunkSkipper
+	// covered makes the scan range over what DML ranges over — every
+	// covered cell of a bounded array, holes included as all-NULL rows
+	// (array.BulkWriter) — with every attribute and no chunk skipping:
+	// a zone map describes live cells only.
+	covered bool
 	// prof and budget are the arming EXPLAIN ANALYZE's collector and the
 	// statement's memory account, copied from the session when the scan
 	// is resolved so pool workers never read session state; either may
@@ -100,11 +105,14 @@ func (e *Engine) scanChunks(src *scanSource) ([]array.ColumnChunk, error) {
 		return nil, nil
 	}
 	st := src.arr.Store
+	target := scanChunkTarget(st)
+	if bw, ok := st.(array.BulkWriter); ok && src.covered {
+		return bw.CoveredChunks(target, dimRanges(src.eff)), nil
+	}
 	cs, ok := st.(array.ColumnScanner)
-	if !ok {
+	if !ok || src.covered {
 		return nil, fmt.Errorf("array %s: %s storage offers no columnar scan", src.arr.Name, st.Scheme())
 	}
-	target := scanChunkTarget(st)
 	chunks := cs.ColumnChunks(target, src.attrs, dimRanges(src.eff))
 	if len(chunks) >= 2 {
 		chunks = e.skipChunks(src.skip, st, chunks, target, src.prof)

@@ -597,6 +597,17 @@ func splitConjuncts(where ast.Expr) []ast.Expr {
 	return []ast.Expr{where}
 }
 
+// unconsumed lists the conjuncts dimension pushdown left to the filter.
+func unconsumed(conjs []ast.Expr, consumed []bool) []ast.Expr {
+	var out []ast.Expr
+	for i, c := range conjs {
+		if !consumed[i] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // buildFrom scans and joins the FROM items, pushing dimension
 // equality/range conjuncts into array scans (the "symbolic reasoning
 // over the dimensions" of §2.3). It returns the joined dataset, the
@@ -621,13 +632,7 @@ func (e *Engine) buildFrom(items []ast.FromItem, conjs []ast.Expr, outer expr.En
 			ds = crossJoin(ds, d)
 		}
 	}
-	var remaining []ast.Expr
-	for i, c := range conjs {
-		if !consumed[i] {
-			remaining = append(remaining, c)
-		}
-	}
-	return ds, sources, remaining, nil
+	return ds, sources, unconsumed(conjs, consumed), nil
 }
 
 func (e *Engine) buildFromItem(fi ast.FromItem, conjs []ast.Expr, consumed []bool, outer expr.Env, dec planDecision, bare bool) (*Dataset, []*source, error) {
@@ -698,13 +703,7 @@ func (e *Engine) buildTableRef(t *ast.TableRef, conjs []ast.Expr, consumed []boo
 		// Zone-map skipping compiles against the conjuncts not consumed
 		// by dimension pushdown; they stay in the residual filter, so
 		// skipping only removes chunks that could not contribute rows.
-		var resid []ast.Expr
-		for i, c := range conjs {
-			if !consumed[i] {
-				resid = append(resid, c)
-			}
-		}
-		sk := e.buildChunkSkipper(arr, src.qual(), effectiveSels(arr, sels, restrict), resid, bare)
+		sk := e.buildChunkSkipper(arr, src.qual(), effectiveSels(arr, sels, restrict), unconsumed(conjs, consumed), bare)
 		ds, err := e.scanArrayPruned(arr, src.qual(), sels, restrict, attrs, dec.par, sk)
 		if err != nil {
 			return nil, nil, err

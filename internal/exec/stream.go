@@ -639,12 +639,7 @@ func (e *Engine) compileScan(sel *ast.Select, env *baseEnv) (*streamPlan, bool, 
 	conjs := splitConjuncts(sel.Where)
 	consumed := make([]bool, len(conjs))
 	restrict := e.pushdownDims(arr, sp.qual, conjs, consumed, sels, env)
-	var remaining []ast.Expr
-	for i, c := range conjs {
-		if !consumed[i] {
-			remaining = append(remaining, c)
-		}
-	}
+	remaining := unconsumed(conjs, consumed)
 	sp.where = andAll(remaining)
 	sp.eff = effectiveSels(arr, sels, restrict)
 	if allPoint(sp.eff) {

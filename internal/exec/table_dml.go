@@ -40,7 +40,7 @@ func (r *tableRowEnv) Param(name string) (value.Value, bool) {
 	return value.Value{}, false
 }
 
-func (e *Engine) insertTableImpl(t *catalogTable, s *ast.Insert, outer expr.Env) error {
+func (e *Engine) insertTable(t *catalogTable, s *ast.Insert, outer expr.Env) error {
 	colMap := make([]int, 0, len(t.Cols))
 	if len(s.Columns) > 0 {
 		for _, c := range s.Columns {
@@ -104,7 +104,7 @@ func (e *Engine) insertTableImpl(t *catalogTable, s *ast.Insert, outer expr.Env)
 	return nil
 }
 
-func (e *Engine) updateTableImpl(t *catalogTable, s *ast.Update, outer expr.Env) error {
+func (e *Engine) updateTable(t *catalogTable, s *ast.Update, outer expr.Env) error {
 	n := t.NumRows()
 	for r := 0; r < n; r++ {
 		env := &tableRowEnv{t: t, row: r, outer: outer}
@@ -143,7 +143,7 @@ func (e *Engine) updateTableImpl(t *catalogTable, s *ast.Update, outer expr.Env)
 	return nil
 }
 
-func (e *Engine) deleteTableImpl(t *catalogTable, s *ast.Delete, outer expr.Env) error {
+func (e *Engine) deleteTable(t *catalogTable, s *ast.Delete, outer expr.Env) error {
 	var keep []int
 	n := t.NumRows()
 	for r := 0; r < n; r++ {

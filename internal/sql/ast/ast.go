@@ -278,9 +278,13 @@ func (*Select) stmt() {}
 // through the logical planner and returns the rendered plan tree
 // instead of executing it. With Analyze (EXPLAIN ANALYZE) the
 // statement additionally executes, and the tree is annotated with the
-// per-operator runtime statistics of that execution.
+// per-operator runtime statistics of that execution. EXPLAIN ANALYZE
+// also takes an UPDATE or DELETE (DML, with Select nil): the statement
+// runs — its writes happen — and the one line returned reports what it
+// scanned, matched and copied.
 type Explain struct {
 	Select  *Select
+	DML     Statement
 	Analyze bool
 }
 

@@ -99,6 +99,7 @@ func FuzzParseNoCrash(f *testing.F) {
 		`BEGIN; INSERT INTO t VALUES (1, 'x'); COMMIT`,
 		`START TRANSACTION; ROLLBACK`,
 		`EXPLAIN ANALYZE SELECT * FROM t`,
+		`EXPLAIN ANALYZE UPDATE m SET v = v + 1 WHERE x < 2`,
 		`DROP TABLE t; DROP ARRAY m`,
 		strings.Repeat(`SELECT 1; `, 20),
 	}

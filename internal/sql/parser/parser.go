@@ -187,6 +187,13 @@ func (p *Parser) parseStatement() (ast.Statement, error) {
 		// ANALYZE is contextual (not reserved): EXPLAIN ANALYZE SELECT
 		// profiles the execution, while columns named analyze still work.
 		analyze := p.acceptSoft("ANALYZE")
+		if t := p.cur(); analyze && t.Kind == lexer.Keyword && (t.Text == "UPDATE" || t.Text == "DELETE") {
+			dml, err := p.parseStatement()
+			if err != nil {
+				return nil, err
+			}
+			return &ast.Explain{DML: dml, Analyze: true}, nil
+		}
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err

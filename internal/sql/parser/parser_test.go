@@ -25,6 +25,8 @@ var paperStatements = []string{
 	`INSERT INTO grid VALUES(1,1,25)`,
 	`UPDATE experiment SET payload[x][y] = NULL WHERE payload[x][y] < 0`,
 	`DELETE FROM matrix WHERE MOD(x, 2) = 0 OR MOD(y, 2) = 0`,
+	`EXPLAIN ANALYZE UPDATE matrix SET v = v + 1 WHERE x < 2`,
+	`EXPLAIN ANALYZE DELETE FROM matrix WHERE x = 1`,
 	`SELECT x, y, v FROM matrix`,
 	`SELECT ARRAY (1,2,3,4)`,
 	`SELECT ARRAY((1,2),(3,4))`,

@@ -14,31 +14,10 @@ import (
 // vectors instead of one boxed cell per callback. A dense scheme is a
 // grid — cells in position order behind arithmetic coordinates — and a
 // dimension restriction becomes position runs of that grid, never a
-// per-cell test. A batch that is one hole-free run is a set of views
-// over the stored columns; anything else (holes, several short runs,
-// slab boundaries, tabular tombstones) is a typed gather.
-
-// view returns elements [lo, hi) as a vector sharing the column's
-// backing array (capacity-capped, so appends to it reallocate).
-func (c *column) view(lo, hi int) bat.Vector {
-	switch c.typ {
-	case value.Float:
-		return bat.NewFloatVectorValid(c.f[lo:hi:hi], c.valid, lo)
-	case value.Int, value.Timestamp:
-		return bat.NewIntVectorValid(c.typ, c.i[lo:hi:hi], c.valid, lo)
-	case value.String:
-		return bat.NewStringVectorValid(c.s[lo:hi:hi], c.valid, lo)
-	case value.Bool:
-		return bat.NewBoolVectorValid(c.b[lo:hi:hi], c.valid, lo)
-	}
-	// Boxed (nested-array) storage keeps NULL in the validity bitmap,
-	// not in the stored value: copy with the flag applied.
-	out := make([]value.Value, hi-lo)
-	for i := range out {
-		out[i] = c.get(lo + i)
-	}
-	return bat.NewAnyVector(c.typ, out)
-}
+// per-cell test. A batch that is one hole-free run inside one segment
+// row is a set of views over the stored segments; anything else (holes,
+// several short runs, segment and slab boundaries, dead tabular rows)
+// is a typed gather.
 
 // wordMask returns the bits of bitmap word w that fall inside [lo, hi).
 func wordMask(w, lo, hi int) uint64 {
@@ -52,23 +31,33 @@ func wordMask(w, lo, hi int) uint64 {
 	return m
 }
 
-// liveWord ORs word w of every column's validity bitmap: a cell is
-// live when any of its attributes is present.
-func liveWord(cols []*column, w int) uint64 {
+// liveWord ORs word w of every column's validity bitmap in segment row
+// k of g: a cell is live when any of its attributes is present.
+func liveWord(g *grid, k, w int) uint64 {
 	var live uint64
-	for _, c := range cols {
-		if w < len(c.valid) {
-			live |= c.valid[w]
+	for _, c := range g.cols[g.stored:] {
+		if valid := c[k].valid; w < len(valid) {
+			live |= valid[w]
 		}
 	}
 	return live
 }
 
 // allLive reports whether every position of the non-empty range
-// [lo, hi) is live in cols, a word at a time.
-func allLive(cols []*column, lo, hi int) bool {
+// [lo, hi) of segment row k is live, a word at a time.
+func allLive(g *grid, k, lo, hi int) bool {
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		if m := wordMask(w, lo, hi); liveWord(cols, w)&m != m {
+		if m := wordMask(w, lo, hi); liveWord(g, k, w)&m != m {
+			return false
+		}
+	}
+	return true
+}
+
+// allValid is allLive for one segment's own bitmap.
+func (sg *segment) allValid(lo, hi int) bool {
+	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+		if m := wordMask(w, lo, hi); w >= len(sg.valid) || sg.valid[w]&m != m {
 			return false
 		}
 	}
@@ -76,11 +65,12 @@ func allLive(cols []*column, lo, hi int) bool {
 }
 
 // livePositions lists up to limit live positions of the non-empty
-// range [lo, hi) and the position to resume the walk from.
-func livePositions(cols []*column, lo, hi, limit int) (pos []int, next int) {
+// range [lo, hi) of segment row k and the position to resume the walk
+// from.
+func livePositions(g *grid, k, lo, hi, limit int) (pos []int, next int) {
 	pos = make([]int, 0, min(limit, hi-lo))
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		live := liveWord(cols, w) & wordMask(w, lo, hi)
+		live := liveWord(g, k, w) & wordMask(w, lo, hi)
 		for ; live != 0; live &= live - 1 {
 			p := w<<6 + bits.TrailingZeros64(live)
 			if len(pos) == limit {
@@ -88,6 +78,22 @@ func livePositions(cols []*column, lo, hi, limit int) (pos []int, next int) {
 			}
 			pos = append(pos, p)
 		}
+	}
+	return pos, hi
+}
+
+// admittedPositions is livePositions for the positions admit accepts,
+// live or not; base is the grid position of the segment row's start.
+func admittedPositions(admit func(pos int64) bool, base int64, lo, hi, limit int) (pos []int, next int) {
+	pos = make([]int, 0, min(limit, hi-lo))
+	for p := lo; p < hi; p++ {
+		if !admit(base + int64(p)) {
+			continue
+		}
+		if len(pos) == limit {
+			return pos, p
+		}
+		pos = append(pos, p)
 	}
 	return pos, hi
 }
@@ -102,13 +108,22 @@ type gridDim struct {
 }
 
 // grid is a dense block of cells in position order: a whole linear
-// store, or one slab. A grid without dims (the tabular scheme) keeps
-// its coordinates as leading columns instead.
+// store, or one slab. Each column is its segments in position order,
+// 1<<shift cells apiece (a slab's column is one segment, so its shift
+// puts every position in segment 0). A grid without dims (the tabular
+// scheme) keeps its coordinates as leading columns instead.
 type grid struct {
-	cols  []*column
+	cols  [][]*segment
+	shift uint
 	dims  []gridDim
 	order []int // dimensions from slowest- to fastest-varying
+	// stored counts the leading columns that hold coordinates; they say
+	// nothing about which cells are live.
+	stored int
 }
+
+// oneSegment is the shift of a grid whose columns are single segments.
+const oneSegment = 62
 
 // gridBox is a dimension restriction in a grid's ordinals: the admitted
 // half-open ordinal range per dimension, and the place in order of the
@@ -193,33 +208,39 @@ nextRow:
 	return true
 }
 
-// piece is part of a pending batch: the live cells of one grid that
-// are either a hole-free position run [lo, hi) or, with pos set, an
-// explicit position list.
+// piece is part of a pending batch: cells of segment row k of one grid
+// that are either a position run [lo, hi) or, with pos set, an explicit
+// position list — positions counted from the segment row's start. A
+// piece never spans two segment rows, so its columns are views of
+// single segments.
 type piece struct {
 	g      *grid
+	k      int
 	lo, hi int
 	pos    []int
 }
+
+// base is the grid position of the piece's segment row.
+func (p piece) base() int64 { return int64(p.k) << p.g.shift }
 
 // fillCoords writes the piece's coordinates along dimension d into out
 // and returns how many it wrote. A run is filled a stretch at a time —
 // an arithmetic sequence along the fastest dimension, a constant along
 // the others — not decoded position by position.
 func (p piece) fillCoords(d int, out []int64) int {
-	gd := p.g.dims[d]
+	gd, base := p.g.dims[d], p.base()
 	if p.pos != nil {
 		for k, q := range p.pos {
-			out[k] = gd.start + int64(q)/gd.stride%gd.size*gd.step
+			out[k] = gd.start + (base+int64(q))/gd.stride%gd.size*gd.step
 		}
 		return len(p.pos)
 	}
 	k := 0
-	for q := int64(p.lo); q < int64(p.hi); {
+	for q, hi := base+int64(p.lo), base+int64(p.hi); q < hi; {
 		ord := q / gd.stride % gd.size
 		v := gd.start + ord*gd.step
 		if gd.stride == 1 {
-			n := min(gd.size-ord, int64(p.hi)-q)
+			n := min(gd.size-ord, hi-q)
 			for end := k + int(n); k < end; k++ {
 				out[k] = v
 				v += gd.step
@@ -227,7 +248,7 @@ func (p piece) fillCoords(d int, out []int64) int {
 			q += n
 			continue
 		}
-		n := min((q/gd.stride+1)*gd.stride, int64(p.hi)) - q
+		n := min((q/gd.stride+1)*gd.stride, hi) - q
 		for end := k + int(n); k < end; k++ {
 			out[k] = v
 		}
@@ -244,10 +265,10 @@ func (p piece) rows() int {
 }
 
 // column returns the piece's cells of grid column ci: a view of the
-// stored column for a run, a typed gather for a position list.
+// stored segment for a run, a typed gather for a position list.
 func (p piece) column(ci int) bat.Vector {
 	if p.pos == nil {
-		return p.g.cols[ci].view(p.lo, p.hi)
+		return p.g.cols[ci][p.k].view(p.lo, p.hi)
 	}
 	return gatherColumn([]piece{p}, ci, len(p.pos))
 }
@@ -258,15 +279,15 @@ func (p piece) column(ci int) bat.Vector {
 // they are [first, last] unless the run wraps around (or laps) the
 // dimension, which makes them the whole dimension.
 func (p piece) coordBounds(d int) (lo, hi int64) {
-	gd := p.g.dims[d]
+	gd, base := p.g.dims[d], p.base()
 	olo, ohi := gd.size, int64(-1)
 	if p.pos != nil {
 		for _, q := range p.pos {
-			ord := int64(q) / gd.stride % gd.size
+			ord := (base + int64(q)) / gd.stride % gd.size
 			olo, ohi = min(olo, ord), max(ohi, ord)
 		}
 	} else {
-		first, last := int64(p.lo)/gd.stride, int64(p.hi-1)/gd.stride
+		first, last := (base+int64(p.lo))/gd.stride, (base+int64(p.hi)-1)/gd.stride
 		olo, ohi = first%gd.size, last%gd.size
 		if last-first >= gd.size || ohi < olo {
 			olo, ohi = 0, gd.size-1
@@ -300,32 +321,41 @@ func (b *batcher) push(p piece) bool {
 	return b.rows < b.max || b.flush()
 }
 
-// addRange appends the live cells of positions [lo, hi) of g, flushing
-// whenever a batch fills; false means the consumer stopped.
-func (b *batcher) addRange(g *grid, lo, hi int) bool {
-	for lo < hi {
-		room := b.max - b.rows
-		p := piece{g: g, lo: lo, hi: lo + min(hi-lo, room)}
-		if allLive(g.cols, p.lo, p.hi) {
-			lo = p.hi
-		} else if p.pos, lo = livePositions(g.cols, lo, hi, room); len(p.pos) == 0 {
-			continue
-		}
-		if !b.push(p) {
-			return false
-		}
-	}
-	return true
+// cellFilter says which cells of a position range a walk keeps: the
+// live ones by default, every one when covered, and with admit set the
+// ones it accepts, live or not.
+type cellFilter struct {
+	covered bool
+	admit   func(pos int64) bool
 }
 
-// addDense is addRange for positions the caller knows to be live.
-func (b *batcher) addDense(g *grid, lo, hi int) bool {
+// addRange appends the cells of grid positions [lo, hi) of g that f
+// keeps, cut at segment rows and flushed whenever a batch fills; false
+// means the consumer stopped.
+func (b *batcher) addRange(g *grid, lo, hi int, f cellFilter) bool {
 	for lo < hi {
-		n := min(hi-lo, b.max-b.rows)
-		if !b.push(piece{g: g, lo: lo, hi: lo + n}) {
-			return false
+		k := lo >> g.shift
+		base := k << g.shift
+		l, end := lo-base, min(hi-base, 1<<g.shift)
+		lo = base + end
+		for l < end {
+			room := b.max - b.rows
+			p := piece{g: g, k: k, lo: l, hi: l + min(end-l, room)}
+			switch {
+			case f.admit != nil:
+				p.pos, l = admittedPositions(f.admit, int64(base), l, end, room)
+			case f.covered || allLive(g, k, p.lo, p.hi):
+				l = p.hi
+			default:
+				p.pos, l = livePositions(g, k, l, end, room)
+			}
+			if p.pos != nil && len(p.pos) == 0 {
+				continue
+			}
+			if !b.push(p) {
+				return false
+			}
 		}
-		lo += n
 	}
 	return true
 }
@@ -337,8 +367,8 @@ func (b *batcher) finish() {
 	}
 }
 
-// flush emits the pending pieces as one batch. A single hole-free run
-// becomes views of the stored columns; anything else is gathered.
+// flush emits the pending pieces as one batch. A single run becomes
+// views of the stored segments; anything else is gathered.
 func (b *batcher) flush() bool {
 	n, g := b.rows, b.pieces[0].g
 	nd := len(g.dims)
@@ -402,10 +432,10 @@ func strideFilter(cols array.ColumnBatch, restrict []array.DimRange, nd int) arr
 
 // gatherSlice copies the pieces' elements out of one typed backing
 // slice per grid.
-func gatherSlice[T any](pieces []piece, ci, n int, data func(*column) []T) []T {
+func gatherSlice[T any](pieces []piece, ci, n int, data func(*segment) []T) []T {
 	out := make([]T, 0, n)
 	for _, p := range pieces {
-		src := data(p.g.cols[ci])
+		src := data(p.g.cols[ci][p.k])
 		if p.pos == nil {
 			out = append(out, src[p.lo:p.hi]...)
 			continue
@@ -420,17 +450,17 @@ func gatherSlice[T any](pieces []piece, ci, n int, data func(*column) []T) []T {
 // gatherColumn builds the n-row vector of grid column ci over pieces.
 func gatherColumn(pieces []piece, ci, n int) bat.Vector {
 	valid := packValidity(pieces, ci, n)
-	switch typ := pieces[0].g.cols[ci].typ; typ {
+	switch typ := pieces[0].g.cols[ci][0].typ; typ {
 	case value.Float:
-		return bat.NewFloatVectorValid(gatherSlice(pieces, ci, n, func(c *column) []float64 { return c.f }), valid, 0)
+		return bat.NewFloatVectorValid(gatherSlice(pieces, ci, n, func(c *segment) []float64 { return c.f }), valid, 0)
 	case value.Int, value.Timestamp:
-		return bat.NewIntVectorValid(typ, gatherSlice(pieces, ci, n, func(c *column) []int64 { return c.i }), valid, 0)
+		return bat.NewIntVectorValid(typ, gatherSlice(pieces, ci, n, func(c *segment) []int64 { return c.i }), valid, 0)
 	case value.String:
-		return bat.NewStringVectorValid(gatherSlice(pieces, ci, n, func(c *column) []string { return c.s }), valid, 0)
+		return bat.NewStringVectorValid(gatherSlice(pieces, ci, n, func(c *segment) []string { return c.s }), valid, 0)
 	case value.Bool:
-		return bat.NewBoolVectorValid(gatherSlice(pieces, ci, n, func(c *column) []bool { return c.b }), valid, 0)
+		return bat.NewBoolVectorValid(gatherSlice(pieces, ci, n, func(c *segment) []bool { return c.b }), valid, 0)
 	default:
-		out := gatherSlice(pieces, ci, n, func(c *column) []value.Value { return c.a })
+		out := gatherSlice(pieces, ci, n, func(c *segment) []value.Value { return c.a })
 		for i := range out {
 			if valid != nil && valid[i>>6]&(1<<(uint(i)&63)) == 0 {
 				out[i] = value.NewNull(typ)
@@ -445,7 +475,7 @@ func gatherColumn(pieces []piece, ci, n int) bat.Vector {
 func packValidity(pieces []piece, ci, n int) []uint64 {
 	var out []uint64
 	k := 0
-	mark := func(c *column, q int) {
+	mark := func(c *segment, q int) {
 		if !c.isValid(q) {
 			if out == nil {
 				out = make([]uint64, (n+63)/64)
@@ -458,9 +488,9 @@ func packValidity(pieces []piece, ci, n int) []uint64 {
 		k++
 	}
 	for _, p := range pieces {
-		c := p.g.cols[ci]
+		c := p.g.cols[ci][p.k]
 		if p.pos == nil {
-			if allLive(p.g.cols[ci:ci+1], p.lo, p.hi) {
+			if c.allValid(p.lo, p.hi) {
 				k += p.hi - p.lo
 				continue
 			}
@@ -478,7 +508,10 @@ func packValidity(pieces []piece, ci, n int) []uint64 {
 
 // grid describes the whole store as one grid.
 func (s *linearStore) grid() *grid {
-	g := &grid{cols: s.cols, dims: make([]gridDim, len(s.dims)), order: make([]int, len(s.dims))}
+	g := &grid{cols: make([][]*segment, len(s.cols)), shift: segShift, dims: make([]gridDim, len(s.dims)), order: make([]int, len(s.dims))}
+	for ci, c := range s.cols {
+		g.cols[ci] = c.segs
+	}
 	for i, d := range s.dims {
 		g.dims[i] = gridDim{size: s.sizes[i], stride: s.strides[i], start: d.Start, step: d.Index(1) - d.Index(0), typ: d.Typ}
 		g.order[i] = i
@@ -489,8 +522,8 @@ func (s *linearStore) grid() *grid {
 	return g
 }
 
-// chunkWalk feeds one chunk's live, admitted cells to b as pieces, in
-// scan order.
+// chunkWalk feeds one chunk's admitted cells to b as pieces, in scan
+// order.
 type chunkWalk func(b *batcher)
 
 // columnChunks puts the batch face on a store's chunk walks; sel lists
@@ -505,16 +538,25 @@ func columnChunks(walks []chunkWalk, sel []int, restrict []array.DimRange) []arr
 	return out
 }
 
-// chunkWalks splits the position range exactly like ScanChunks.
-func (s *linearStore) chunkWalks(target int, restrict []array.DimRange) []chunkWalk {
+// chunkWalks splits the position range exactly like ScanChunks. A
+// covered walk keeps every cell the dimension CHECKs admit, live or not.
+func (s *linearStore) chunkWalks(target int, restrict []array.DimRange, covered bool) []chunkWalk {
 	g := s.grid()
 	bx, ok := g.box(restrict)
-	ranges := chunkRanges(s.total, target)
+	f := cellFilter{covered: covered}
+	if covered && hasDimChecks(s.dims) {
+		coords := make([]int64, len(s.dims))
+		f.admit = func(pos int64) bool {
+			s.coordsOf(pos, coords)
+			return dimChecksPass(s.dims, coords)
+		}
+	}
+	ranges := chunkRanges(s.total, target, segCells)
 	out := make([]chunkWalk, len(ranges))
 	for ci, r := range ranges {
 		lo, hi := int(r[0]), int(r[1])
 		out[ci] = func(b *batcher) {
-			if ok && g.runs(bx, lo, hi, func(lo, hi int) bool { return b.addRange(g, lo, hi) }) {
+			if ok && g.runs(bx, lo, hi, func(lo, hi int) bool { return b.addRange(g, lo, hi, f) }) {
 				b.finish()
 			}
 		}
@@ -523,13 +565,16 @@ func (s *linearStore) chunkWalks(target int, restrict []array.DimRange) []chunkW
 }
 
 func (s *linearStore) ColumnChunks(target int, attrs []int, restrict []array.DimRange) []array.ColumnChunk {
-	return columnChunks(s.chunkWalks(target, restrict), array.AllAttrs(attrs, len(s.attrs)), restrict)
+	return columnChunks(s.chunkWalks(target, restrict, false), array.AllAttrs(attrs, len(s.attrs)), restrict)
 }
 
 // grid describes one slab: row-major, slabSize cells per dimension.
 func (s *slabStore) grid(blk *slabBlock) *grid {
 	nd := len(s.dims)
-	g := &grid{cols: blk.cols, dims: make([]gridDim, nd), order: make([]int, nd)}
+	g := &grid{cols: make([][]*segment, len(blk.segs)), shift: oneSegment, dims: make([]gridDim, nd), order: make([]int, nd)}
+	for ci := range blk.segs {
+		g.cols[ci] = blk.segs[ci : ci+1]
+	}
 	stride := int64(1)
 	for i := nd - 1; i >= 0; i-- {
 		d := s.dims[i]
@@ -544,11 +589,7 @@ func (s *slabStore) grid(blk *slabBlock) *grid {
 // may span slabs, and a full slab is a batch of views.
 func (s *slabStore) chunkWalks(target int, restrict []array.DimRange) []chunkWalk {
 	keys := s.sortedKeys()
-	vol := 1
-	for range s.dims {
-		vol *= int(s.slabSize)
-	}
-	ranges := chunkRanges(int64(len(keys)), target)
+	ranges := chunkRanges(int64(len(keys)), target, 1)
 	out := make([]chunkWalk, len(ranges))
 	for ci, r := range ranges {
 		group := keys[r[0]:r[1]]
@@ -556,7 +597,7 @@ func (s *slabStore) chunkWalks(target int, restrict []array.DimRange) []chunkWal
 			for _, k := range group {
 				g := s.grid(s.blocks[k])
 				bx, ok := g.box(restrict)
-				if ok && !g.runs(bx, 0, vol, func(lo, hi int) bool { return b.addRange(g, lo, hi) }) {
+				if ok && !g.runs(bx, 0, s.vol, func(lo, hi int) bool { return b.addRange(g, lo, hi, cellFilter{}) }) {
 					return
 				}
 			}
@@ -570,26 +611,37 @@ func (s *slabStore) ColumnChunks(target int, attrs []int, restrict []array.DimRa
 	return columnChunks(s.chunkWalks(target, restrict), array.AllAttrs(attrs, len(s.attrs)), restrict)
 }
 
+// grid describes the rows as a grid without arithmetic dimensions: its
+// leading columns are the index columns.
+func (s *tabularStore) grid() *grid {
+	g := &grid{cols: make([][]*segment, 0, len(s.idx)+len(s.cols)), shift: segShift, stored: len(s.idx)}
+	for _, c := range s.idx {
+		g.cols = append(g.cols, c.segs)
+	}
+	for _, c := range s.cols {
+		g.cols = append(g.cols, c.segs)
+	}
+	return g
+}
+
 // chunkWalks splits the row range exactly like ScanChunks. The
-// coordinates are stored columns here — the grid has no arithmetic
-// dimensions, its leading columns are the index columns — so a stretch
-// of live admitted rows is a batch of views over index and attribute
-// columns alike; the restriction is a typed test on the index columns.
+// coordinates are stored columns here, so a stretch of live admitted
+// rows is a batch of views over index and attribute columns alike; the
+// restriction is a typed test on the index columns.
 func (s *tabularStore) chunkWalks(target int, restrict []array.DimRange) []chunkWalk {
-	nd := len(s.dims)
-	g := &grid{cols: append(append(make([]*column, 0, nd+len(s.cols)), s.idx...), s.cols...)}
+	g := s.grid()
 	admitted := func(row int) bool {
-		if s.tomb[row] {
+		if s.rowIsHole(row) {
 			return false
 		}
 		for d, r := range restrict {
-			if !r.Contains(s.idx[d].i[row]) {
+			if !r.Contains(s.coord(d, row)) {
 				return false
 			}
 		}
 		return true
 	}
-	ranges := chunkRanges(int64(len(s.tomb)), target)
+	ranges := chunkRanges(int64(s.rows), target, segCells)
 	out := make([]chunkWalk, len(ranges))
 	for ci, r := range ranges {
 		lo, hi := int(r[0]), int(r[1])
@@ -602,7 +654,7 @@ func (s *tabularStore) chunkWalks(target int, restrict []array.DimRange) []chunk
 				for row < hi && admitted(row) {
 					row++
 				}
-				if !b.addDense(g, start, row) {
+				if !b.addRange(g, start, row, cellFilter{covered: true}) {
 					return
 				}
 			}
@@ -622,4 +674,13 @@ func (s *tabularStore) ColumnChunks(target int, attrs []int, restrict []array.Di
 		sel = append(sel, nd+ai)
 	}
 	return columnChunks(s.chunkWalks(target, restrict), sel, nil)
+}
+
+func hasDimChecks(dims []array.Dimension) bool {
+	for _, d := range dims {
+		if d.Check != nil {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/array"
 	"repro/internal/value"
@@ -23,7 +24,12 @@ type linearStore struct {
 	cols     []*column
 	liveCnt  int
 	rowMajor bool
-	zm       zoneMaps
+	// live holds the lazily built liveness entry of every segment row;
+	// a write that flips a cell's liveness drops its row's entry.
+	live []atomic.Pointer[liveZone]
+	// defaults is set when some attribute has a non-NULL default.
+	defaults bool
+	cow
 }
 
 // NewVirtual creates a row-major dense store. All dimensions must be
@@ -44,7 +50,9 @@ func newLinear(scheme string, schema array.Schema, rowMajor bool) (array.Store, 
 		dims:     schema.Dims,
 		attrs:    schema.Attrs,
 		rowMajor: rowMajor,
+		defaults: anyNonNullDefault(schema.Attrs),
 	}
+	s.disown()
 	s.sizes = make([]int64, len(s.dims))
 	total := int64(1)
 	for i, d := range s.dims {
@@ -71,8 +79,9 @@ func newLinear(scheme string, schema array.Schema, rowMajor bool) (array.Store, 
 	}
 	s.cols = make([]*column, len(s.attrs))
 	for ai, at := range s.attrs {
-		s.cols[ai] = newColumn(at.Typ, int(total))
+		s.cols[ai] = newColumn(at.Typ, int(total), s.own.Load())
 	}
+	s.live = make([]atomic.Pointer[liveZone], (total+segCells-1)/segCells)
 	// Initialize every valid cell to the attribute defaults; cells
 	// carved out by dimension CHECKs stay holes (Fig. 2 forms).
 	coords := make([]int64, len(s.dims))
@@ -84,7 +93,7 @@ func newLinear(scheme string, schema array.Schema, rowMajor bool) (array.Store, 
 		live := false
 		for ai, at := range s.attrs {
 			dv := defaultValue(at, coords)
-			s.cols[ai].set(int(pos), dv)
+			s.cols[ai].set(int(pos), dv, &s.cow)
 			if !dv.Null {
 				live = true
 			}
@@ -148,17 +157,46 @@ func (s *linearStore) Set(coords []int64, attr int, v value.Value) error {
 	if off < 0 {
 		return fmt.Errorf("%s store: coordinates %v out of bounds", s.scheme, coords)
 	}
-	s.zm.bump()
-	wasHole := s.isHole(int(off))
-	s.cols[attr].set(int(off), v)
-	nowHole := s.isHole(int(off))
-	switch {
-	case wasHole && !nowHole:
-		s.liveCnt++
-	case !wasHole && nowHole:
-		s.liveCnt--
+	pos := int(off)
+	sg, j := s.cols[attr].writable(pos>>segShift, &s.cow), pos&(segCells-1)
+	was := sg.isValid(j)
+	sg.set(j, v)
+	if was == v.Null {
+		s.validityFlipped(pos, attr, !v.Null)
 	}
 	return nil
+}
+
+// validityFlipped accounts for attribute attr of the cell at pos having
+// gained or lost its value: when no other attribute holds one, the cell
+// itself came alive or became a hole. A hole is indistinguishable from
+// space outside the array, so a cell that comes alive materializes like
+// one written there in any scheme: its other attributes take their
+// defaults.
+func (s *linearStore) validityFlipped(pos, attr int, nowValid bool) {
+	for ai, c := range s.cols {
+		if ai != attr && c.isValid(pos) {
+			return
+		}
+	}
+	if lz := &s.live[pos>>segShift]; lz.Load() != nil {
+		lz.Store(nil)
+	}
+	if !nowValid {
+		s.liveCnt--
+		return
+	}
+	s.liveCnt++
+	if !s.defaults {
+		return
+	}
+	coords := make([]int64, len(s.dims))
+	s.coordsOf(int64(pos), coords)
+	for ai, at := range s.attrs {
+		if dv := defaultValue(at, coords); ai != attr && !dv.Null {
+			s.cols[ai].set(pos, dv, &s.cow)
+		}
+	}
 }
 
 func (s *linearStore) isHole(pos int) bool {
@@ -187,8 +225,11 @@ func (s *linearStore) Scan(visit func(coords []int64, vals []value.Value) bool) 
 	}
 }
 
-// chunkRanges splits [0, total) into roughly target contiguous ranges.
-func chunkRanges(total int64, target int) [][2]int64 {
+// chunkRanges splits [0, total) into roughly target contiguous ranges
+// whose boundaries are multiples of align: the positional schemes
+// align chunks on segments, so a chunk is whole segment rows and its
+// zone map a merge of their entries.
+func chunkRanges(total int64, target int, align int64) [][2]int64 {
 	if total <= 0 {
 		return nil
 	}
@@ -196,16 +237,10 @@ func chunkRanges(total int64, target int) [][2]int64 {
 		target = 1
 	}
 	size := (total + int64(target) - 1) / int64(target)
-	if size < 1 {
-		size = 1
-	}
-	out := make([][2]int64, 0, target)
+	size = (size + align - 1) / align * align
+	out := make([][2]int64, 0, (total+size-1)/size)
 	for lo := int64(0); lo < total; lo += size {
-		hi := lo + size
-		if hi > total {
-			hi = total
-		}
-		out = append(out, [2]int64{lo, hi})
+		out = append(out, [2]int64{lo, min(lo+size, total)})
 	}
 	return out
 }
@@ -216,7 +251,7 @@ func chunkRanges(total int64, target int) [][2]int64 {
 // every column, like Scan).
 func (s *linearStore) ScanChunks(target int, attrs []int) []array.ChunkScan {
 	cols := array.AllAttrs(attrs, len(s.attrs))
-	ranges := chunkRanges(s.total, target)
+	ranges := chunkRanges(s.total, target, segCells)
 	out := make([]array.ChunkScan, len(ranges))
 	for ci, r := range ranges {
 		lo, hi := r[0], r[1]
@@ -240,11 +275,31 @@ func (s *linearStore) ScanChunks(target int, attrs []int) []array.ChunkScan {
 	return out
 }
 
-// ChunkStats returns zone maps index-aligned with ScanChunks(target, ·).
+// ChunkStats returns zone maps index-aligned with ScanChunks(target, ·):
+// each a merge of the entries of the chunk's segment rows.
 func (s *linearStore) ChunkStats(target int) []array.ChunkStats {
-	return s.zm.get(target, func() []array.ChunkStats {
-		return computeZoneMaps(s, target, s.dims, s.attrs)
-	})
+	ranges := chunkRanges(s.total, target, segCells)
+	out := newChunkStats(len(ranges), len(s.dims), s.attrs)
+	var g *grid // built when an entry is missing
+	for ci, r := range ranges {
+		cs := &out[ci]
+		for k := int(r[0] >> segShift); int64(k)<<segShift < r[1]; k++ {
+			lz := s.live[k].Load()
+			if lz == nil {
+				if g == nil {
+					g = s.grid()
+				}
+				lz = buildLive(g, k, int(min(segCells, s.total-int64(k)<<segShift)), len(s.dims))
+				s.live[k].Store(lz)
+			}
+			addLive(cs, lz)
+			for ai, c := range s.cols {
+				addZone(&cs.Attrs[ai], c.segs[k].stats())
+			}
+		}
+		finishStats(cs)
+	}
+	return out
 }
 
 func (s *linearStore) Bounds() (lo, hi []int64, ok bool) {
@@ -257,6 +312,8 @@ func (s *linearStore) Bounds() (lo, hi []int64, ok bool) {
 	return lo, hi, true
 }
 
+// Clone shares every segment with the copy. From here on neither side
+// owns a segment the other can see: whichever writes first copies.
 func (s *linearStore) Clone() array.Store {
 	out := &linearStore{
 		scheme:   s.scheme,
@@ -267,32 +324,40 @@ func (s *linearStore) Clone() array.Store {
 		total:    s.total,
 		liveCnt:  s.liveCnt,
 		rowMajor: s.rowMajor,
+		defaults: s.defaults,
 		cols:     make([]*column, len(s.cols)),
+		live:     make([]atomic.Pointer[liveZone], len(s.live)),
 	}
 	for i, c := range s.cols {
 		out.cols[i] = c.clone()
 	}
+	for k := range s.live {
+		out.live[k].Store(s.live[k].Load())
+	}
+	out.disown()
+	s.disown()
 	return out
 }
 
-// FloatColumn exposes the raw dense float column of attribute attr for
-// bulk kernels and black-box marshaling; ok is false when the
-// attribute is not Float-typed.
+// FloatColumn exposes the dense float column of attribute attr for
+// bulk kernels and black-box marshaling — the stored slices when the
+// column is one segment, a concatenation otherwise; ok is false when
+// the attribute is not Float-typed.
 func (s *linearStore) FloatColumn(attr int) (data []float64, valid []uint64, ok bool) {
 	c := s.cols[attr]
 	if c.typ != value.Float {
 		return nil, nil, false
 	}
-	return c.f, c.valid, true
-}
-
-// IntColumn exposes the raw dense int column of attribute attr.
-func (s *linearStore) IntColumn(attr int) (data []int64, valid []uint64, ok bool) {
-	c := s.cols[attr]
-	if c.typ != value.Int && c.typ != value.Timestamp {
-		return nil, nil, false
+	if len(c.segs) == 1 {
+		return c.segs[0].f, c.segs[0].valid, true
 	}
-	return c.i, c.valid, true
+	data = make([]float64, 0, c.n)
+	valid = make([]uint64, 0, (c.n+63)/64)
+	for _, sg := range c.segs {
+		data = append(data, sg.f...)
+		valid = append(valid, sg.valid...)
+	}
+	return data, valid, true
 }
 
 // RowMajor reports the linearization order (true for Virtual, false

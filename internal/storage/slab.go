@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/array"
 	"repro/internal/value"
@@ -21,19 +22,27 @@ type slabStore struct {
 	dims     []array.Dimension
 	attrs    []array.Attr
 	slabSize int64
-	// blocks maps packed slab coordinates to dense blocks.
+	// vol is the number of cells of one slab.
+	vol int
+	// blocks maps packed slab coordinates to dense blocks. The map is
+	// the store's own; the blocks are shared with clones until written.
 	blocks map[string]*slabBlock
 	live   int
 	// bounds tracking for unbounded dims.
 	haveCells bool
 	lo, hi    []int64
-	zm        zoneMaps
+	cow
 }
 
+// slabBlock is one slab: a segment per attribute, vol cells each. Like
+// a segment it is immutable once a second store shares it.
 type slabBlock struct {
+	own *owner
 	// origin is the index value of the block's low corner.
 	origin []int64
-	cols   []*column
+	segs   []*segment
+	// zone is the block's lazily built liveness entry.
+	zone atomic.Pointer[liveZone]
 }
 
 // NewSlab creates a slab store with the default slab size.
@@ -48,9 +57,14 @@ func NewSlabSized(schema array.Schema, slabSize int64) (array.Store, error) {
 		dims:     schema.Dims,
 		attrs:    schema.Attrs,
 		slabSize: slabSize,
+		vol:      1,
 		blocks:   make(map[string]*slabBlock),
 		lo:       make([]int64, len(schema.Dims)),
 		hi:       make([]int64, len(schema.Dims)),
+	}
+	s.disown()
+	for range s.dims {
+		s.vol *= int(slabSize)
 	}
 	// Bounded arrays with non-NULL defaults materialize eagerly so all
 	// covered cells exist, as the array semantics require.
@@ -62,11 +76,12 @@ func NewSlabSized(schema array.Schema, slabSize int64) (array.Store, error) {
 				if !dimChecksPass(s.dims, coords) {
 					return
 				}
-				blk, pos := s.block(coords, true)
+				key, pos := s.slabKey(coords)
+				blk := s.writableBlock(key, coords)
 				live := false
 				for ai, at := range s.attrs {
 					dv := defaultValue(at, coords)
-					blk.cols[ai].set(pos, dv)
+					blk.segs[ai].set(pos, dv)
 					if !dv.Null {
 						live = true
 					}
@@ -128,48 +143,64 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// block returns the slab containing coords, allocating if create.
-func (s *slabStore) block(coords []int64, create bool) (*slabBlock, int) {
-	key, pos := s.slabKey(coords)
-	blk := s.blocks[key]
-	if blk == nil {
-		if !create {
-			return nil, 0
-		}
-		vol := int64(1)
-		for range s.dims {
-			vol *= s.slabSize
-		}
-		blk = &slabBlock{origin: make([]int64, len(coords)), cols: make([]*column, len(s.attrs))}
+// writableBlock returns the slab stored under key for writing under
+// the store's current owner, allocating it (it holds coords) when
+// absent and privatizing it — the block, not yet its segments — when
+// another store version may share it.
+func (s *slabStore) writableBlock(key string, coords []int64) *slabBlock {
+	blk, own := s.blocks[key], s.own.Load()
+	switch {
+	case blk == nil:
+		blk = &slabBlock{own: own, origin: make([]int64, len(coords)), segs: make([]*segment, len(s.attrs))}
 		for i, c := range coords {
 			ord := s.dims[i].Ordinal(c)
 			blk.origin[i] = s.dims[i].Index(floorDiv(ord, s.slabSize) * s.slabSize)
 		}
 		for ai, at := range s.attrs {
-			blk.cols[ai] = newColumn(at.Typ, int(vol))
+			blk.segs[ai] = newSegment(at.Typ, s.vol, own)
 		}
-		s.blocks[key] = blk
+	case blk.own != own:
+		shared := blk
+		blk = &slabBlock{own: own, origin: shared.origin, segs: append([]*segment(nil), shared.segs...)}
+		blk.zone.Store(shared.zone.Load())
+	default:
+		return blk
 	}
-	return blk, pos
+	s.blocks[key] = blk
+	return blk
+}
+
+// writable returns attribute ai's segment of a writable block for
+// writing, privatizing it first when shared.
+func (s *slabStore) writable(blk *slabBlock, ai int) *segment {
+	sg := blk.segs[ai]
+	if sg.own != blk.own {
+		var bytes int64
+		sg, bytes = sg.clone(blk.own)
+		blk.segs[ai] = sg
+		s.privatized(bytes)
+	}
+	return sg
 }
 
 func (s *slabStore) Scheme() string { return "slab" }
 func (s *slabStore) Len() int       { return s.live }
 
 func (s *slabStore) Get(coords []int64, attr int) value.Value {
-	blk, pos := s.block(coords, false)
+	key, pos := s.slabKey(coords)
+	blk := s.blocks[key]
 	if blk == nil {
 		return value.NewNull(s.attrs[attr].Typ)
 	}
-	return blk.cols[attr].get(pos)
+	return blk.segs[attr].get(pos)
 }
 
 func (s *slabStore) Set(coords []int64, attr int, v value.Value) error {
-	s.zm.bump()
-	blk, pos := s.block(coords, !v.Null)
-	if blk == nil {
+	key, pos := s.slabKey(coords)
+	if s.blocks[key] == nil && v.Null {
 		return nil // hole write into an unallocated slab
 	}
+	blk := s.writableBlock(key, coords)
 	wasHole := s.posIsHole(blk, pos)
 	if wasHole && !v.Null {
 		// Materializing a fresh cell: fill sibling attrs with defaults.
@@ -177,10 +208,12 @@ func (s *slabStore) Set(coords []int64, attr int, v value.Value) error {
 			if ai == attr {
 				continue
 			}
-			blk.cols[ai].set(pos, defaultValue(at, coords))
+			if dv := defaultValue(at, coords); !dv.Null {
+				s.writable(blk, ai).set(pos, dv)
+			}
 		}
 	}
-	blk.cols[attr].set(pos, v)
+	s.writable(blk, attr).set(pos, v)
 	nowHole := s.posIsHole(blk, pos)
 	switch {
 	case wasHole && !nowHole:
@@ -188,12 +221,15 @@ func (s *slabStore) Set(coords []int64, attr int, v value.Value) error {
 		s.extendBounds(coords)
 	case !wasHole && nowHole:
 		s.live--
+	default:
+		return nil
 	}
+	blk.zone.Store(nil)
 	return nil
 }
 
 func (s *slabStore) posIsHole(blk *slabBlock, pos int) bool {
-	for _, c := range blk.cols {
+	for _, c := range blk.segs {
 		if c.isValid(pos) {
 			return false
 		}
@@ -215,11 +251,7 @@ func (s *slabStore) sortedKeys() []string {
 // materializing the attribute columns listed in cols; false return
 // from visit stops the walk (and is propagated).
 func (s *slabStore) scanBlock(blk *slabBlock, cols []int, coords []int64, vals []value.Value, visit func(coords []int64, vals []value.Value) bool) bool {
-	vol := 1
-	for range s.dims {
-		vol *= int(s.slabSize)
-	}
-	for pos := 0; pos < vol; pos++ {
+	for pos := 0; pos < s.vol; pos++ {
 		if s.posIsHole(blk, pos) {
 			continue
 		}
@@ -235,7 +267,7 @@ func (s *slabStore) scanBlock(blk *slabBlock, cols []int, coords []int64, vals [
 			coords[i] = blk.origin[i] + within*step
 		}
 		for vi, ai := range cols {
-			vals[vi] = blk.cols[ai].get(pos)
+			vals[vi] = blk.segs[ai].get(pos)
 		}
 		if !visit(coords, vals) {
 			return false
@@ -262,7 +294,7 @@ func (s *slabStore) Scan(visit func(coords []int64, vals []value.Value) bool) {
 func (s *slabStore) ScanChunks(target int, attrs []int) []array.ChunkScan {
 	cols := array.AllAttrs(attrs, len(s.attrs))
 	keys := s.sortedKeys()
-	ranges := chunkRanges(int64(len(keys)), target)
+	ranges := chunkRanges(int64(len(keys)), target, 1)
 	out := make([]array.ChunkScan, len(ranges))
 	for ci, r := range ranges {
 		group := keys[r[0]:r[1]]
@@ -279,11 +311,29 @@ func (s *slabStore) ScanChunks(target int, attrs []int) []array.ChunkScan {
 	return out
 }
 
-// ChunkStats returns zone maps index-aligned with ScanChunks(target, ·).
+// ChunkStats returns zone maps index-aligned with ScanChunks(target, ·):
+// each a merge of the entries of the chunk's slabs.
 func (s *slabStore) ChunkStats(target int) []array.ChunkStats {
-	return s.zm.get(target, func() []array.ChunkStats {
-		return computeZoneMaps(s, target, s.dims, s.attrs)
-	})
+	keys := s.sortedKeys()
+	ranges := chunkRanges(int64(len(keys)), target, 1)
+	out := newChunkStats(len(ranges), len(s.dims), s.attrs)
+	for ci, r := range ranges {
+		cs := &out[ci]
+		for _, k := range keys[r[0]:r[1]] {
+			blk := s.blocks[k]
+			lz := blk.zone.Load()
+			if lz == nil {
+				lz = buildLive(s.grid(blk), 0, s.vol, len(s.dims))
+				blk.zone.Store(lz)
+			}
+			addLive(cs, lz)
+			for ai, sg := range blk.segs {
+				addZone(&cs.Attrs[ai], sg.stats())
+			}
+		}
+		finishStats(cs)
+	}
+	return out
 }
 
 func (s *slabStore) Bounds() (lo, hi []int64, ok bool) {
@@ -293,11 +343,13 @@ func (s *slabStore) Bounds() (lo, hi []int64, ok bool) {
 	return append([]int64(nil), s.lo...), append([]int64(nil), s.hi...), true
 }
 
+// Clone shares every slab with the copy; see linearStore.Clone.
 func (s *slabStore) Clone() array.Store {
 	out := &slabStore{
 		dims:      s.dims,
 		attrs:     s.attrs,
 		slabSize:  s.slabSize,
+		vol:       s.vol,
 		blocks:    make(map[string]*slabBlock, len(s.blocks)),
 		live:      s.live,
 		haveCells: s.haveCells,
@@ -305,12 +357,10 @@ func (s *slabStore) Clone() array.Store {
 		hi:        append([]int64(nil), s.hi...),
 	}
 	for k, blk := range s.blocks {
-		nb := &slabBlock{origin: append([]int64(nil), blk.origin...), cols: make([]*column, len(blk.cols))}
-		for i, c := range blk.cols {
-			nb.cols[i] = c.clone()
-		}
-		out.blocks[k] = nb
+		out.blocks[k] = blk
 	}
+	out.disown()
+	s.disown()
 	return out
 }
 

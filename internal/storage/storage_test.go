@@ -2,7 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -464,13 +467,22 @@ func chunkTestStores(t *testing.T, sch array.Schema) map[string]array.Store {
 // never changes which cells are visited (liveness is judged on all
 // attributes), chunk i covers the cells ChunkStats(target)[i]
 // describes, and a dimension restriction admits exactly the cells its
-// ranges contain. The 13x13 array spans three bitmap words, so every
-// chunk boundary (169/3, 169/32) and batch boundary (7, 50) falls
-// inside a word.
+// ranges contain. The 13x13 array is one segment spanning three bitmap
+// words, so every batch boundary (7, 50) falls inside a word; the 70x70
+// one is two segments of a positional scheme (4096 + 804 cells) and
+// hundreds of 4x4 slabs, so chunk boundaries (which sit on segments),
+// the segment boundary inside a row, word and batch boundaries all fall
+// inside the scan and a batch has to be cut where a segment ends.
 func TestScanChunksMatchScan(t *testing.T) {
-	const n = 13
+	for _, n := range []int64{13, 70} {
+		testScanChunksMatchScan(t, n)
+	}
+}
+
+func testScanChunksMatchScan(t *testing.T, n int64) {
 	sch := chunkTestSchema(n)
 	for name, st := range chunkTestStores(t, sch) {
+		name = fmt.Sprintf("%s n=%d", name, n)
 		// Sparse-ish fill; cell (2,3) is live only through attribute b,
 		// so a scan pruned to attribute a must still visit it (as NULL).
 		for x := int64(0); x < n; x++ {
@@ -551,10 +563,11 @@ func TestScanChunksMatchScan(t *testing.T) {
 			{full, {Lo: 5, Hi: 11, Step: 1}},
 			{{Lo: 1, Hi: 12, Step: 1}, {Lo: 3, Hi: 4, Step: 1}},
 			{{Lo: 4, Hi: 5, Step: 1}, {Lo: 6, Hi: 7, Step: 1}},
-			{{Lo: 1, Hi: 13, Step: 4}, {Lo: 0, Hi: 13, Step: 3}},
+			{{Lo: 1, Hi: n, Step: 4}, {Lo: 0, Hi: n, Step: 3}},
 			{{Lo: -50, Hi: 1 << 62, Step: 1}, {Lo: -1 << 62, Hi: 7, Step: 1}},
-			{{Lo: 20, Hi: 30, Step: 1}, full},
+			{{Lo: n + 7, Hi: n + 17, Step: 1}, full},
 			{{Lo: 6, Hi: 6, Step: 1}, full},
+			{{Lo: n - 14, Hi: n - 8, Step: 1}, {Lo: 1, Hi: n - 1, Step: 1}}, // across the segment boundary when n = 70
 		} {
 			var wantR []string
 			for _, line := range want {
@@ -601,8 +614,8 @@ func TestColumnChunksAreViewsNeverWrittenThrough(t *testing.T) {
 			pos := 0
 			for _, b := range batches {
 				data := b[2].(*bat.FloatVector).Floats()
-				if &data[0] != &ls.cols[0].f[pos] {
-					t.Errorf("%s: batch at position %d is a copy, want a view of the column", name, pos)
+				if &data[0] != &ls.cols[0].segs[pos>>segShift].f[pos&(segCells-1)] {
+					t.Errorf("%s: batch at position %d is a copy, want a view of the segment", name, pos)
 				}
 				if cap(data) != len(data) {
 					t.Errorf("%s: view capacity %d exceeds its length %d", name, cap(data), len(data))
@@ -648,6 +661,330 @@ func TestScanChunksEarlyStop(t *testing.T) {
 			if batches != 1 {
 				t.Fatalf("%s: early-stopped column chunk yielded %d batches", name, batches)
 			}
+		}
+	}
+}
+
+// segmentSet lists the segments of every attribute column of a store,
+// in a fixed order, for identity comparisons.
+func segmentSet(t *testing.T, st array.Store) [][]*segment {
+	t.Helper()
+	switch s := st.(type) {
+	case *linearStore:
+		out := make([][]*segment, len(s.cols))
+		for ai, c := range s.cols {
+			out[ai] = append([]*segment(nil), c.segs...)
+		}
+		return out
+	case *tabularStore:
+		out := make([][]*segment, len(s.cols))
+		for ai, c := range s.cols {
+			out[ai] = append([]*segment(nil), c.segs...)
+		}
+		return out
+	case *slabStore:
+		out := make([][]*segment, len(s.attrs))
+		for _, k := range s.sortedKeys() {
+			for ai, sg := range s.blocks[k].segs {
+				out[ai] = append(out[ai], sg)
+			}
+		}
+		return out
+	}
+	t.Fatalf("%s: unknown store type %T", st.Scheme(), st)
+	return nil
+}
+
+// TestCloneSharesUntouchedSegments pins the ownership rule. A clone
+// shares every segment with its source. After k Sets on the clone,
+// exactly the segments of the written attribute that hold a written
+// cell differ by identity; the source, an older clone and batch views
+// taken before the writes still read the old values. And a write to
+// the source after Clone does not reach the clone.
+func TestCloneSharesUntouchedSegments(t *testing.T) {
+	const n = 100 // 10000 cells: three segments per column
+	sch := chunkTestSchema(n)
+	for name, st := range chunkTestStores(t, sch) {
+		for x := int64(0); x < n; x++ {
+			for y := int64(0); y < n; y++ {
+				if err := st.Set([]int64{x, y}, 0, value.NewFloat(float64(x*n+y))); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Set([]int64{x, y}, 1, value.NewInt(x-y)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var views []array.ColumnBatch
+		for _, c := range st.(array.ColumnScanner).ColumnChunks(3, nil, nil) {
+			c(4096, func(b array.ColumnBatch) bool {
+				views = append(views, b)
+				return true
+			})
+		}
+		render := func() (out []string) {
+			for _, b := range views {
+				out = append(out, batchLines(b, 2)...)
+			}
+			return out
+		}
+		before := render()
+		want := renderScan(st.Scan)
+		older := st.Clone()
+		clone := st.Clone()
+		base := segmentSet(t, st)
+		for ai, segs := range segmentSet(t, clone) {
+			for k, sg := range segs {
+				if sg != base[ai][k] {
+					t.Fatalf("%s: a fresh clone copied segment %d of attribute %d", name, k, ai)
+				}
+			}
+		}
+		// Writes to attribute 0 at cells that all sit in one segment of
+		// a positional scheme (row 7) and in one 4x4 slab.
+		var copied int64
+		clone.(array.CopyObserver).ObserveCopies(func(bytes int64) { copied += bytes })
+		for y := int64(0); y < 4; y++ {
+			if err := clone.Set([]int64{7, y}, 0, value.NewFloat(-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if copied == 0 {
+			t.Errorf("%s: the observer heard of no copy", name)
+		}
+		after := segmentSet(t, clone)
+		touched := 0
+		for k, sg := range after[0] {
+			if sg != base[0][k] {
+				touched++
+			}
+		}
+		if touched != 1 {
+			t.Errorf("%s: %d segments of the written attribute were copied, want 1", name, touched)
+		}
+		for k, sg := range after[1] {
+			if sg != base[1][k] {
+				t.Errorf("%s: segment %d of the attribute not written was copied", name, k)
+			}
+		}
+		for label, s := range map[string]array.Store{"source": st, "older clone": older} {
+			sameLines(t, name+": "+label+" after writes to a clone", renderScan(s.Scan), want)
+		}
+		sameLines(t, name+": views taken before the writes", render(), before)
+		if got := clone.Get([]int64{7, 3}, 0).AsFloat(); got != -1 {
+			t.Errorf("%s: clone reads %v at a written cell, want -1", name, got)
+		}
+		// The source is a version of its own too: it copies before it
+		// writes, so the clones keep what they had.
+		if err := st.Set([]int64{50, 50}, 1, value.NewInt(12345)); err != nil {
+			t.Fatal(err)
+		}
+		for label, s := range map[string]array.Store{"clone": clone, "older clone": older} {
+			if got := s.Get([]int64{50, 50}, 1).AsInt(); got != 0 {
+				t.Errorf("%s: a write to the source reached the %s: %d", name, label, got)
+			}
+		}
+		sameLines(t, name+": views after a write to the source", render(), before)
+	}
+}
+
+// TestConcurrentClonesAndReaders runs, under -race, what the catalog
+// does to a published version: readers scan it and read its zone maps
+// while two writers each clone it and write their clone.
+func TestConcurrentClonesAndReaders(t *testing.T) {
+	const n = 100
+	sch := chunkTestSchema(n)
+	for name, st := range chunkTestStores(t, sch) {
+		for x := int64(0); x < n; x++ {
+			for y := int64(0); y < n; y += 2 {
+				if err := st.Set([]int64{x, y}, 0, value.NewFloat(float64(x*n+y))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		published := st.Clone() // st itself is never touched again
+		want := renderScan(published.Scan)
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					got := renderColumns(published.(array.ColumnScanner).ColumnChunks(3, nil, nil), 4096, 2)
+					if len(got) != len(want) {
+						t.Errorf("%s: reader saw %d cells, want %d", name, len(got), len(want))
+						return
+					}
+					for _, cs := range published.(array.StatsProvider).ChunkStats(3) {
+						if cs.Rows > 0 && cs.Attrs[0].Min.AsFloat() < 0 {
+							t.Errorf("%s: reader saw a writer's value in the zone maps", name)
+						}
+					}
+				}
+			}()
+		}
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					mine := published.Clone()
+					for y := int64(0); y < n; y++ {
+						if err := mine.Set([]int64{int64(10*w + i), y}, 0, value.NewFloat(-float64(w+1))); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if got := mine.Get([]int64{int64(10*w + i), 1}, 0).AsFloat(); got != -float64(w+1) {
+						t.Errorf("%s: writer %d reads %v from its own clone", name, w, got)
+					}
+					mine.(array.StatsProvider).ChunkStats(3)
+				}
+			}()
+		}
+		wg.Wait()
+		sameLines(t, name+": published version after concurrent clones", renderScan(published.Scan), want)
+	}
+}
+
+// TestSegmentZoneMapsMatchFromScratch: after random writes across
+// clone generations — NaN and NULL placed first, last and in between,
+// in every segment — the merged per-segment entries of every version
+// equal statistics computed from scratch by walking its chunks.
+func TestSegmentZoneMapsMatchFromScratch(t *testing.T) {
+	const n = 100
+	sch := chunkTestSchema(n)
+	nan := value.NewFloat(math.NaN())
+	for name, st := range chunkTestStores(t, sch) {
+		rng := rand.New(rand.NewSource(11))
+		versions := []array.Store{st}
+		for gen := 0; gen < 6; gen++ {
+			cur := versions[len(versions)-1]
+			cur.(array.StatsProvider).ChunkStats(3) // build entries the next version inherits
+			next := cur.Clone()
+			for i := 0; i < 400; i++ {
+				c := []int64{rng.Int63n(n), rng.Int63n(n)}
+				var v value.Value
+				switch rng.Intn(6) {
+				case 0:
+					v = value.NewNull(value.Float)
+				case 1:
+					v = nan
+				default:
+					v = value.NewFloat(float64(rng.Intn(2000) - 1000))
+				}
+				if err := next.Set(c, 0, v); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(3) == 0 {
+					w := value.NewInt(rng.Int63n(100))
+					if rng.Intn(4) == 0 {
+						w = value.NewNull(value.Int)
+					}
+					if err := next.Set(c, 1, w); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// NaN as the very first and the very last value of segments.
+			for _, c := range [][]int64{{0, 0}, {int64(gen), 0}, {40, 95}, {40, 96}, {n - 1, n - 1}} {
+				if err := next.Set(c, 0, nan); err != nil {
+					t.Fatal(err)
+				}
+			}
+			versions = append(versions, next)
+		}
+		for gen, v := range versions {
+			assertStatsFresh(t, name, v, sch, fmt.Sprintf("generation %d", gen))
+		}
+	}
+}
+
+// TestBulkWriterMatchesGetAndSet pins the bulk-write face on every
+// scheme against the cell-at-a-time one. CoveredChunks yields exactly
+// the coordinates the dimensions cover and their CHECKs admit — holes
+// as all-NULL rows — each attribute equal to Get, under restrictions
+// too; and Scatter leaves the store as one Set per row would.
+func TestBulkWriterMatchesGetAndSet(t *testing.T) {
+	const n = 70
+	sch := chunkTestSchema(n)
+	sch.Dims[1].Check = func(c []int64) bool { return (c[0]+2*c[1])%11 != 0 }
+	full := array.DimRange{Full: true}
+	for name, st := range chunkTestStores(t, sch) {
+		for x := int64(0); x < n; x++ {
+			for y := int64(0); y < n; y++ {
+				if (x+y)%3 != 0 && sch.Dims[1].Check([]int64{x, y}) {
+					if err := st.Set([]int64{x, y}, int((x+y)%2), value.NewInt(x*n+y)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		bw := st.(array.BulkWriter)
+		for _, restrict := range [][]array.DimRange{
+			nil,
+			{{Lo: 50, Hi: 66, Step: 1}, full},
+			{{Lo: 3, Hi: n, Step: 5}, {Lo: 10, Hi: 12, Step: 1}},
+			{{Lo: 9, Hi: 10, Step: 1}, {Lo: 9, Hi: 10, Step: 1}},
+			{{Lo: 2 * n, Hi: 3 * n, Step: 1}, full},
+		} {
+			var want []string
+			for x := int64(0); x < n; x++ {
+				for y := int64(0); y < n; y++ {
+					c := []int64{x, y}
+					if !sch.Dims[1].Check(c) || restrict != nil && !(restrict[0].Contains(x) && restrict[1].Contains(y)) {
+						continue
+					}
+					want = append(want, fmt.Sprintf("%d,%d:%s|%s", x, y, st.Get(c, 0), st.Get(c, 1)))
+				}
+			}
+			got := renderColumns(bw.CoveredChunks(3, restrict), 50, 2)
+			// The covered order is the scheme's own; the cells are not.
+			sort.Strings(got)
+			sort.Strings(want)
+			sameLines(t, fmt.Sprintf("%s covered restrict=%v", name, restrict), got, want)
+		}
+		// Scatter a column of values, NULLs and repeated cells (the later
+		// row wins) against one Set per row on a clone.
+		viaSet := st.Clone()
+		rng := rand.New(rand.NewSource(5))
+		xs, ys := make([]int64, 600), make([]int64, 600)
+		vals := make([]value.Value, len(xs))
+		for i := range xs {
+			for {
+				xs[i], ys[i] = rng.Int63n(n), rng.Int63n(n)
+				if sch.Dims[1].Check([]int64{xs[i], ys[i]}) {
+					break
+				}
+			}
+			vals[i] = value.NewFloat(float64(rng.Intn(999)))
+			if rng.Intn(4) == 0 {
+				vals[i] = value.NewNull(value.Float)
+			}
+			if err := viaSet.Set([]int64{xs[i], ys[i]}, 0, vals[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		coords := []bat.Vector{bat.NewIntVector(xs), bat.NewIntVector(ys)}
+		// The clone shares every segment, so the write copies what it
+		// touches; writing the same cells again finds them its own.
+		copied, err := bw.Scatter(coords, 0, bat.FromValues(value.Float, vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if copied.Segments == 0 || copied.Bytes == 0 {
+			t.Errorf("%s: Scatter into shared segments copied %+v", name, copied)
+		}
+		sameLines(t, name+" after Scatter", renderScan(st.Scan), renderScan(viaSet.Scan))
+		if st.Len() != viaSet.Len() {
+			t.Errorf("%s: Len %d after Scatter, %d after the same Sets", name, st.Len(), viaSet.Len())
+		}
+		if copied, _ = bw.Scatter(coords, 0, bat.FromValues(value.Float, vals)); copied.Segments != 0 {
+			t.Errorf("%s: Scatter into its own segments copied %+v", name, copied)
+		}
+		assertStatsFresh(t, name, st, sch, "after Scatter")
+		if _, err := bw.Scatter([]bat.Vector{bat.NewIntVector([]int64{n}), bat.NewIntVector([]int64{0})}, 0, bat.FromValues(value.Float, vals[:1])); err == nil && st.Scheme() != SchemeSlab && st.Scheme() != SchemeTabular {
+			t.Errorf("%s: Scatter outside the bounds did not fail", name)
 		}
 	}
 }

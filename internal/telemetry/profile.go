@@ -73,8 +73,10 @@ type Profile struct {
 	// Project the target list, Aggregate value grouping, Tiled
 	// structural (tiling) grouping, Sort/Distinct/Limit the result
 	// finishers, Join the join operator, Output the statement's final
-	// row count and total wall time.
-	Scan, Filter, Having, Project, Aggregate, Tiled, Sort, Distinct, Limit, Join, Output OpStats
+	// row count and total wall time. DML covers an array UPDATE, DELETE
+	// or SET: cells scanned, cells matched (rows), and in its detail what
+	// the write copied and how its expressions ran.
+	Scan, Filter, Having, Project, Aggregate, Tiled, Sort, Distinct, Limit, Join, Output, DML OpStats
 }
 
 // NewProfile starts a profile clock.

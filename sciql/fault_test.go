@@ -25,6 +25,7 @@ var faultPoints = []string{
 	"tile.fold",
 	"pool.worker",
 	"cursor.close",
+	"dml.scatter",
 }
 
 const (
@@ -177,4 +178,52 @@ func checkCleanFaultErr(t *testing.T, label string, err error) {
 		return
 	}
 	t.Errorf("%s: fault surfaced as untyped error: %v", label, err)
+}
+
+// TestScatterFaultRollsBackToSavepoint arms dml.scatter inside a
+// transaction: the statement it fails — after one of its two SET
+// columns was already scattered — rolls back to its savepoint, the
+// statements before it survive, and the transaction commits them.
+func TestScatterFaultRollsBackToSavepoint(t *testing.T) {
+	defer faultinject.Reset()
+	for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Panic} {
+		db := setupFaultDB(t)
+		db.MustExec(`CREATE ARRAY fpair (i INTEGER DIMENSION[8], a FLOAT DEFAULT 0.0, b FLOAT DEFAULT 0.0)`)
+		c, err := db.Conn(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec(`UPDATE fpair SET a = i + 1`); err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Arm("dml.scatter", faultinject.Spec{Kind: kind, AfterN: 2})
+		_, err = tx.Exec(`UPDATE fpair SET a = 100, b = 200`)
+		faultinject.Disarm("dml.scatter")
+		if err == nil {
+			t.Fatal("the second scatter did not fail the statement")
+		}
+		checkCleanFaultErr(t, "dml", err)
+		const q = `SELECT SUM(a), SUM(b) FROM fpair`
+		rs, err := tx.Query(q)
+		if err != nil {
+			t.Fatalf("transaction poisoned after a failed statement: %v", err)
+		}
+		if got := numericLines(rs); got != "36|0" {
+			t.Errorf("inside the transaction after the failed statement: %s, want 36|0", got)
+		}
+		if _, err := tx.Exec(`UPDATE fpair SET b = 1 WHERE i < 2`); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := numericLines(db.MustQuery(q)); got != "36|2" {
+			t.Errorf("committed: %s, want 36|2", got)
+		}
+		c.Close()
+	}
 }

@@ -370,3 +370,85 @@ func TestStatementTimeoutCancelsTiling(t *testing.T) {
 		}
 	}
 }
+
+// setupBigUpdateDB builds the 1 M-cell array the DML governance tests
+// update: 256 scan batches, 8 MiB of one attribute.
+func setupBigUpdateDB(t testing.TB) *DB {
+	t.Helper()
+	db := Open()
+	db.MustExec(`
+		CREATE ARRAY gbig (x INTEGER DIMENSION[1024], y INTEGER DIMENSION[1024], v FLOAT DEFAULT 0.0);
+		UPDATE gbig SET v = MOD(x * 31 + y, 1000);
+	`)
+	return db
+}
+
+const (
+	bigUpdate = `UPDATE gbig SET v = v + 1`
+	bigSum    = `SELECT SUM(v), COUNT(*) FROM gbig`
+)
+
+// TestStatementTimeoutCancelsUpdate: DML polls the statement context
+// once per batch. With every scatter delayed, the deadline passes a few
+// batches into a 256-batch UPDATE; the statement stops at the next
+// batch, and the published version is what it was.
+func TestStatementTimeoutCancelsUpdate(t *testing.T) {
+	defer faultinject.Reset()
+	db := setupBigUpdateDB(t)
+	want := db.MustQuery(bigSum).String()
+	version := db.Metrics()["catalog_version"]
+	scanned := db.Metrics()["scan_cells_total"]
+
+	faultinject.Arm("dml.scatter", faultinject.Spec{Kind: faultinject.Delay, Delay: 10 * time.Millisecond})
+	db.SetStatementTimeout(45 * time.Millisecond)
+	if _, err := db.Exec(bigUpdate); !errors.Is(err, ErrStatementTimeout) {
+		t.Fatalf("err = %v, want ErrStatementTimeout", err)
+	}
+	faultinject.Disarm("dml.scatter")
+	db.SetStatementTimeout(0)
+	if cells := db.Metrics()["scan_cells_total"] - scanned; cells == 0 || cells > 16*4096 {
+		t.Errorf("the UPDATE scanned %d cells before stopping, want a few batches of 4096", cells)
+	}
+	if got := db.Metrics()["catalog_version"]; got != version {
+		t.Errorf("catalog_version moved from %d to %d under a timed-out UPDATE", version, got)
+	}
+	if got := db.MustQuery(bigSum).String(); got != want {
+		t.Errorf("published array changed under a timed-out UPDATE:\n%s\nwant:\n%s", got, want)
+	}
+	if got := pinned(db); got != 0 {
+		t.Errorf("snapshots_pinned = %d, want 0", got)
+	}
+	db.MustExec(bigUpdate)
+	if got := db.MustQuery(bigSum).String(); got == want {
+		t.Error("the UPDATE after disarming changed nothing")
+	}
+}
+
+// TestMemoryBudgetCoversDML: the segments a write privatizes and its
+// scatter buffers are charged to the statement. A whole-array UPDATE
+// copies every segment of the attribute, 8 MiB here; under a 1 MiB
+// budget it aborts with the published version untouched, while a small
+// UPDATE, which copies a few segments, passes.
+func TestMemoryBudgetCoversDML(t *testing.T) {
+	db := setupBigUpdateDB(t)
+	want := db.MustQuery(bigSum).String()
+	db.SetMemoryLimit(1<<20, 0)
+	if _, err := db.Exec(bigUpdate); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("err = %v, want ErrMemoryBudget", err)
+	}
+	if got := db.Metrics()["mem_in_use_bytes"]; got != 0 {
+		t.Errorf("after budget abort: mem_in_use_bytes = %d, want 0", got)
+	}
+	if _, err := db.Exec(`UPDATE gbig SET v = v + 1 WHERE x >= 8 AND x < 16 AND y < 64`); err != nil {
+		t.Fatalf("512-cell UPDATE under a 1 MiB budget: %v", err)
+	}
+	db.MustExec(`UPDATE gbig SET v = v - 1 WHERE x >= 8 AND x < 16 AND y < 64`)
+	db.SetMemoryLimit(0, 0)
+	if got := db.MustQuery(bigSum).String(); got != want {
+		t.Errorf("published array changed under an aborted UPDATE:\n%s\nwant:\n%s", got, want)
+	}
+	db.SetMemoryLimit(1<<30, 1<<30)
+	if _, err := db.Exec(bigUpdate); err != nil {
+		t.Fatalf("under a generous budget: %v", err)
+	}
+}

@@ -568,3 +568,213 @@ func TestTilingWindowKindsAgree(t *testing.T) {
 		}
 	}
 }
+
+// ngrid is the naive evaluator's copy of a bounded side x side array:
+// every covered cell in row-major order, a hole as all NULLs. def is
+// what DELETE resets a cell to and what a vacated line holds.
+type ngrid struct {
+	side  int64
+	cells [][]nval
+	def   []nval
+}
+
+func newGrid(side int64, def []nval) *ngrid {
+	g := &ngrid{side: side, cells: make([][]nval, side*side), def: def}
+	for i := range g.cells {
+		g.cells[i] = append([]nval(nil), def...)
+	}
+	return g
+}
+
+func (g *ngrid) at(x, y int64) []nval { return g.cells[x*g.side+y] }
+
+func (g *ngrid) clone() *ngrid {
+	out := &ngrid{side: g.side, cells: make([][]nval, len(g.cells)), def: g.def}
+	for i, c := range g.cells {
+		out.cells[i] = append([]nval(nil), c...)
+	}
+	return out
+}
+
+func isHole(c []nval) bool {
+	for _, v := range c {
+		if !v.null {
+			return false
+		}
+	}
+	return true
+}
+
+// readGrid copies an array cell by cell through Get.
+func readGrid(arr *Array, side int64, def []nval) *ngrid {
+	g := newGrid(side, def)
+	for x := int64(0); x < side; x++ {
+		for y := int64(0); y < side; y++ {
+			c, _ := readCell(arr, len(def), x, y)
+			copy(g.at(x, y), c.v)
+		}
+	}
+	return g
+}
+
+// delete is §3.2's DELETE with nested loops: the matched cells (holes
+// among them) go; a dimension line all of whose cells went is taken
+// out and the lines above it move down; a vacated cell holds the
+// defaults; every other cell, a hole included, keeps what it held.
+func (g *ngrid) delete(matched func(x, y int64) bool) *ngrid {
+	dead := [2][]int64{make([]int64, g.side), make([]int64, g.side)}
+	for x := int64(0); x < g.side; x++ {
+		for y := int64(0); y < g.side; y++ {
+			if matched(x, y) {
+				dead[0][x]++
+				dead[1][y]++
+			}
+		}
+	}
+	var remap [2][]int64
+	for d := range remap {
+		remap[d] = make([]int64, g.side)
+		rank := int64(0)
+		for v := range remap[d] {
+			remap[d][v] = -1
+			if dead[d][v] < g.side {
+				remap[d][v] = rank
+				rank++
+			}
+		}
+	}
+	out := newGrid(g.side, g.def)
+	for x := int64(0); x < g.side; x++ {
+		for y := int64(0); y < g.side; y++ {
+			if nx, ny := remap[0][x], remap[1][y]; !matched(x, y) && nx >= 0 && ny >= 0 {
+				copy(out.at(nx, ny), g.at(x, y))
+			}
+		}
+	}
+	return out
+}
+
+// diff compares the grid with an array, cell by cell through Get and
+// by the live-cell count; "" when they agree.
+func (g *ngrid) diff(arr *Array) string {
+	live := 0
+	for x := int64(0); x < g.side; x++ {
+		for y := int64(0); y < g.side; y++ {
+			want := g.at(x, y)
+			got, _ := readCell(arr, len(g.def), x, y)
+			for ai := range want {
+				if got.v[ai] != want[ai] {
+					return fmt.Sprintf("cell [%d][%d] holds %v, the naive model says %v", x, y, got.v, want)
+				}
+			}
+			if !isHole(want) {
+				live++
+			}
+		}
+	}
+	if arr.Len() != live {
+		return fmt.Sprintf("%d live cells, the naive model says %d", arr.Len(), live)
+	}
+	return ""
+}
+
+// dmlShape is one UPDATE or DELETE over a diffDB array, written twice:
+// as SQL and as nested loops over the naive grid.
+type dmlShape struct {
+	arr   string
+	sql   string
+	naive func(g *ngrid) *ngrid
+}
+
+// each applies set to every covered cell match accepts.
+func (g *ngrid) each(match func(x, y int64, c []nval) bool, set func(x, y int64, c []nval)) *ngrid {
+	for x := int64(0); x < g.side; x++ {
+		for y := int64(0); y < g.side; y++ {
+			if c := g.at(x, y); match(x, y, c) {
+				set(x, y, c)
+			}
+		}
+	}
+	return g
+}
+
+// dmlShapes covers, on the dense grid (a, b DEFAULT-bearing; c
+// nullable) and on holes (p, q; no defaults): SET clauses that read
+// earlier ones, UPDATE filling holes and punching them, NULL-valued
+// predicates, and UPDATE and DELETE with only dimension predicates
+// (which push down), only attribute predicates, and both — DELETEs
+// that kill no line, one line and several, on arrays with and without
+// holes and defaults.
+func dmlShapes() []dmlShape {
+	always := func(int64, int64, []nval) bool { return true }
+	inBox := func(x0, x1, y0, y1 int64) func(x, y int64, c []nval) bool {
+		return func(x, y int64, _ []nval) bool { return x >= x0 && x < x1 && y >= y0 && y < y1 }
+	}
+	return []dmlShape{
+		{"grid", "UPDATE grid SET a = a + 1, b = a * 2", func(g *ngrid) *ngrid {
+			return g.each(always, func(_, _ int64, c []nval) { c[0].f++; c[1] = num(c[0].f * 2) })
+		}},
+		{"grid", "UPDATE grid SET c = c + 10 WHERE c > 5", func(g *ngrid) *ngrid {
+			return g.each(func(_, _ int64, c []nval) bool { return !c[2].null && c[2].f > 5 }, func(_, _ int64, c []nval) { c[2].f += 10 })
+		}},
+		{"grid", "UPDATE grid SET b = NULL WHERE x >= 20 AND x < 30 AND y >= 90", func(g *ngrid) *ngrid {
+			return g.each(inBox(20, 30, 90, diffSide), func(_, _ int64, c []nval) { c[1] = nnull })
+		}},
+		{"grid", "UPDATE grid SET a = NULL, b = NULL, c = NULL WHERE x = 3 AND y < 5", func(g *ngrid) *ngrid {
+			return g.each(inBox(3, 4, 0, 5), func(_, _ int64, c []nval) { c[0], c[1], c[2] = nnull, nnull, nnull })
+		}},
+		{"holes", "UPDATE holes SET q = x + y WHERE p IS NULL AND x < 40", func(g *ngrid) *ngrid {
+			return g.each(func(x, _ int64, c []nval) bool { return c[0].null && x < 40 }, func(x, y int64, c []nval) { c[1] = num(float64(x + y)) })
+		}},
+		{"holes", "UPDATE holes SET p = p * 2, q = NULL WHERE MOD(x + y, 3) = 0 AND y >= 48", func(g *ngrid) *ngrid {
+			return g.each(func(x, y int64, _ []nval) bool { return (x+y)%3 == 0 && y >= 48 }, func(_, _ int64, c []nval) {
+				if c[1] = nnull; !c[0].null {
+					c[0].f *= 2
+				}
+			})
+		}},
+		{"grid", "DELETE FROM grid WHERE x >= 10 AND x < 20 AND y >= 5 AND y < 9", func(g *ngrid) *ngrid {
+			return g.delete(func(x, y int64) bool { return x >= 10 && x < 20 && y >= 5 && y < 9 })
+		}},
+		{"grid", "DELETE FROM grid WHERE c = 3", func(g *ngrid) *ngrid {
+			return g.delete(func(x, y int64) bool { c := g.at(x, y)[2]; return !c.null && c.f == 3 })
+		}},
+		{"grid", "DELETE FROM grid WHERE x < 50 AND a > 3000", func(g *ngrid) *ngrid {
+			return g.delete(func(x, y int64) bool { a := g.at(x, y)[0]; return x < 50 && !a.null && a.f > 3000 })
+		}},
+		// One whole line goes: everything above moves down, the holes
+		// punched at x = 3 stay holes, the top line holds the defaults.
+		{"grid", "DELETE FROM grid WHERE x = 40", func(g *ngrid) *ngrid {
+			return g.delete(func(x, _ int64) bool { return x == 40 })
+		}},
+		{"holes", "DELETE FROM holes WHERE y >= 90 OR (x = 7 AND y < 12)", func(g *ngrid) *ngrid {
+			return g.delete(func(x, y int64) bool { return y >= 90 || x == 7 && y < 12 })
+		}},
+		{"holes", "DELETE FROM holes WHERE q IS NULL AND x >= 60", func(g *ngrid) *ngrid {
+			return g.delete(func(x, y int64) bool { return g.at(x, y)[1].null && x >= 60 })
+		}},
+	}
+}
+
+// TestDMLMatchesNaive runs the DML shapes in order, through kernels and
+// through the interpreter, and after each compares the whole target
+// array with the naive grid.
+func TestDMLMatchesNaive(t *testing.T) {
+	for _, vec := range []bool{true, false} {
+		db := diffDB(t, "")
+		db.Vectorize(vec)
+		grids := map[string]*ngrid{}
+		for name, def := range map[string][]nval{"grid": {num(0), num(1), nnull}, "holes": {nnull, nnull}} {
+			arr, _ := db.LookupArray(name)
+			grids[name] = readGrid(arr, diffSide, def)
+		}
+		for _, s := range dmlShapes() {
+			db.MustExec(s.sql)
+			grids[s.arr] = s.naive(grids[s.arr])
+			arr, _ := db.LookupArray(s.arr)
+			if d := grids[s.arr].diff(arr); d != "" {
+				t.Fatalf("vectorized=%v, after %s: %s", vec, s.sql, d)
+			}
+		}
+	}
+}

@@ -287,8 +287,9 @@ func (db *DB) Explain(sql string) (string, error) {
 		sel = s
 	case *ast.Explain:
 		sel = s.Select
-	default:
-		return "", fmt.Errorf("EXPLAIN supports SELECT statements, got %T", s)
+	}
+	if sel == nil { // EXPLAIN ANALYZE of DML executes; this renders plans only
+		return "", fmt.Errorf("EXPLAIN supports SELECT statements, got %T", stmts[0])
 	}
 	rs := db.engine.ExplainSelect(sel)
 	var sb strings.Builder
