@@ -276,12 +276,6 @@ type ColumnScanner interface {
 	ColumnChunks(target int, attrs []int, restrict []DimRange) []ColumnChunk
 }
 
-// Copied is what a write had to copy before it could write in place:
-// segments no other store version shares any more, and their bytes.
-type Copied struct {
-	Segments, Bytes int64
-}
-
 // BulkWriter is the columnar face DML reads and writes a store
 // through: the cells a statement ranges over come out as column
 // batches, and typed vectors go back in at coordinate columns.
@@ -294,16 +288,15 @@ type BulkWriter interface {
 	// Scatter sets attribute attr of the cell at (coords[0][i], ...,
 	// coords[nd-1][i]) to vals[i], for every row i, with the effect of
 	// one Set per row in row order; the coordinate columns are Int or
-	// Timestamp vectors without NULLs. It reports what the write
-	// privatized.
-	Scatter(coords []bat.Vector, attr int, vals bat.Vector) (Copied, error)
-}
-
-// CopyObserver is implemented by stores whose Clone shares structure
-// with its source: fn hears the byte count of every later copy a write
-// to this store makes. Clone does not carry the observer over.
-type CopyObserver interface {
-	ObserveCopies(fn func(bytes int64))
+	// Timestamp vectors without NULLs.
+	Scatter(coords []bat.Vector, attr int, vals bat.Vector) error
+	// ObserveCopies makes fn the one account of what writes to this
+	// store copy: Clone shares structure with its source, and fn hears
+	// the byte count of every later copy — one call per segment — a write
+	// makes, through Set or Scatter alike. It returns the observer fn
+	// replaces, so a statement can listen in for its duration and
+	// forward. Clone does not carry the observer over.
+	ObserveCopies(fn func(bytes int64)) (prev func(bytes int64))
 }
 
 // AttrStats is the zone map of one attribute over one chunk: the

@@ -469,7 +469,7 @@ func (m *Mutation) ArrayForWrite(name string) (*array.Array, bool) {
 		m.cloned[k] = true
 		m.touch(k, false)
 		m.c.cloneCount.Inc()
-		if obs, ok := a.Store.(array.CopyObserver); ok {
+		if obs, ok := a.Store.(array.BulkWriter); ok {
 			obs.ObserveCopies(m.c.cloneBytes.Add)
 		}
 	}

@@ -474,13 +474,14 @@ func (e *Engine) rebaseForParam(src *array.Array, paramSchema *array.Schema) (*a
 		return nil, fmt.Errorf("parameter expects %d dimensions, got %d", len(paramSchema.Dims), len(src.Schema.Dims))
 	}
 	srcLo, _, _ := src.BoundingBox() // unknown only when src has no cell to move
-	out, err := e.rebuiltArray(src, *paramSchema, nil, func(dim int, c int64) (int64, bool) {
+	out, err := e.newDMLScan(src, nil, nil, false).rebuild(*paramSchema, func(dim int, c int64) (int64, bool) {
 		return paramSchema.Dims[dim].Index((c - srcLo[dim]) / max(src.Schema.Dims[dim].Step, 1)), true
 	}, nil)
-	if err == nil {
-		out.Name = src.Name + "_param"
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	out.a.Name = src.Name + "_param"
+	return out.a, nil
 }
 
 // callUDF resolves a non-builtin function call: catalog white-box

@@ -24,40 +24,72 @@ import (
 // SET values become typed vectors (kernels where the expression
 // compiles, the interpreter over the rows of the same batch where it
 // does not), and the vectors are scattered into the private store
-// version through its bulk-write face. The statement reads a
-// structure-sharing snapshot of the array taken before its first
-// write, so every column reference sees the pre-statement value and no
+// version through its bulk-write face. For the statement's duration
+// the array itself reads as a frozen, structure-sharing clone of its
+// pre-statement version, so every read — the statement's own batches,
+// an array reference like m[x-1].v, a subquery over the target — sees
+// pre-statement values whatever the batch or segment boundaries, and no
 // batch view can alias a segment being written.
 
 // dmlScan is one statement's walk over its target array.
 type dmlScan struct {
 	e     *Engine
 	a     *array.Array
-	out   array.BulkWriter // the private version's write face
-	src   *scanSource      // the pre-statement snapshot
+	out   array.BulkWriter // the version being written; a.Store again at finish
+	src   *scanSource      // what the statement reads
 	where ast.Expr         // residual predicate after pushdown
 	outer expr.Env
-	// cells, matched and copied are what the statement scanned,
-	// selected and had to privatize; interpreted is set when any batch
-	// went through the row interpreter.
-	cells, matched int64
-	copied         array.Copied
-	interpreted    bool
-	start          time.Time
+	// cells and matched are what the statement scanned and selected,
+	// segments and bytes what its writes had to privatize; interpreted is
+	// set when any batch went through the row interpreter.
+	cells, matched, segments, bytes int64
+	interpreted                     bool
+	start                           time.Time
+	// finish ends a writing statement: the array reads as what was
+	// written, and the profile hears the counts.
+	finish func()
 }
 
-// newDMLScan resolves the cells where ranges over in a: dimension
-// conjuncts of where restrict the scan, the rest filter its batches.
-func (e *Engine) newDMLScan(a *array.Array, where ast.Expr, outer expr.Env) (*dmlScan, error) {
+// newDMLScan resolves the cells where ranges over in a, which the
+// caller does not write while it walks: dimension conjuncts of where
+// restrict the scan, the rest filter its batches. A covered walk is
+// what DML ranges over (scanSource.covered), the other the live cells.
+func (e *Engine) newDMLScan(a *array.Array, where ast.Expr, outer expr.Env, covered bool) *dmlScan {
+	conjs := splitConjuncts(where)
+	consumed := make([]bool, len(conjs))
+	restrict := e.pushdownDims(a, a.Name, conjs, consumed, nil, outer)
+	src := &scanSource{arr: a, cols: scanCols(a, a.Name), eff: effectiveSels(a, nil, restrict), covered: covered, prof: e.prof, budget: e.budget}
+	return &dmlScan{e: e, a: a, src: src, where: andAll(unconsumed(conjs, consumed)), outer: outer, start: time.Now()}
+}
+
+// beginDML is newDMLScan for a statement that writes a. The caller
+// defers finish.
+func (e *Engine) beginDML(a *array.Array, where ast.Expr, outer expr.Env) (*dmlScan, error) {
 	out, ok := a.Store.(array.BulkWriter)
 	if !ok {
 		return nil, fmt.Errorf("array %s: %s storage offers no bulk write", a.Name, a.Store.Scheme())
 	}
-	conjs := splitConjuncts(where)
-	consumed := make([]bool, len(conjs))
-	restrict := e.pushdownDims(a, a.Name, conjs, consumed, nil, outer)
-	src := &scanSource{arr: a.Clone(), cols: scanCols(a, a.Name), eff: effectiveSels(a, nil, restrict), covered: true, prof: e.prof, budget: e.budget}
-	return &dmlScan{e: e, a: a, out: out, src: src, where: andAll(unconsumed(conjs, consumed)), outer: outer, start: time.Now()}, nil
+	written, frozen := a.Store, a.Store.Clone()
+	a.Store = frozen
+	d := e.newDMLScan(a, where, outer, true)
+	d.out = out
+	// The statement listens in on the account of what writes to the store
+	// copy (the catalog's counter, when the array is a catalog's).
+	var prev func(bytes int64)
+	prev = out.ObserveCopies(func(bytes int64) {
+		d.segments, d.bytes = d.segments+1, d.bytes+bytes
+		if prev != nil {
+			prev(bytes)
+		}
+	})
+	d.finish = func() {
+		out.ObserveCopies(prev)
+		if a.Store == frozen { // else the statement rebuilt the store
+			a.Store = written
+		}
+		d.report()
+	}
+	return d, nil
 }
 
 // each hands visit the matching rows of every batch, in scan order, as
@@ -172,25 +204,15 @@ func (d *dmlScan) scatter(coords []bat.Vector, ai int, vals bat.Vector) error {
 	if err := faultinject.Hit("dml.scatter"); err != nil {
 		return err
 	}
-	copied, err := d.out.Scatter(coords, ai, vals)
-	d.copied.Segments += copied.Segments
-	d.copied.Bytes += copied.Bytes
-	if err != nil {
+	before := d.bytes
+	if err := d.out.Scatter(coords, ai, vals); err != nil {
 		return err
 	}
-	return chargeBudget(d.e.budget, copied.Bytes+8*int64(vals.Len()))
+	return chargeBudget(d.e.budget, d.bytes-before+8*int64(vals.Len()))
 }
 
-// whole is a walk over every cell of the same snapshot, whatever the
-// statement's WHERE.
-func (d *dmlScan) whole() *dmlScan {
-	src := *d.src
-	src.eff = effectiveSels(d.a, nil, nil)
-	return &dmlScan{e: d.e, a: d.a, src: &src}
-}
-
-// finish publishes the statement's counts to the armed profile.
-func (d *dmlScan) finish() {
+// report publishes the statement's counts to the armed profile.
+func (d *dmlScan) report() {
 	p := d.e.prof
 	if p == nil {
 		return
@@ -202,7 +224,7 @@ func (d *dmlScan) finish() {
 	if d.interpreted {
 		mode = "interpreted"
 	}
-	p.DML.SetDetail(fmt.Sprintf("matched=%d segments_copied=%d %s", d.matched, d.copied.Segments, mode))
+	p.DML.SetDetail(fmt.Sprintf("matched=%d segments_copied=%d %s", d.matched, d.segments, mode))
 }
 
 // --- UPDATE ------------------------------------------------------------------
@@ -229,7 +251,7 @@ func (e *Engine) updateArray(a *array.Array, s *ast.Update, outer expr.Env) erro
 			}
 		}
 	}
-	d, err := e.newDMLScan(a, s.Where, outer)
+	d, err := e.beginDML(a, s.Where, outer)
 	if err != nil {
 		return err
 	}
@@ -367,7 +389,7 @@ func (e *Engine) writeCell(a *array.Array, coords []int64, attr int, v value.Val
 // by the store's segments, so writing in place would leak the update
 // into snapshots pinned by concurrent readers.
 func (e *Engine) updateNestedArray(a *array.Array, ai int, ref *ast.ArrayRef, s *ast.Update, outer expr.Env) error {
-	d, err := e.newDMLScan(a, nil, outer)
+	d, err := e.beginDML(a, nil, outer)
 	if err != nil {
 		return err
 	}
@@ -481,7 +503,7 @@ func (e *Engine) execSetStmt(s *ast.SetStmt, outer expr.Env) error {
 	// General form: iterate covered cells; the target indexers are
 	// evaluated per cell (free variables bind to the cell coords), and
 	// a cell is written when it is the one they address.
-	d, err := e.newDMLScan(a, nil, outer)
+	d, err := e.beginDML(a, nil, outer)
 	if err != nil {
 		return err
 	}
@@ -617,11 +639,7 @@ func defaultFor(a *array.Array, coords []int64, ai int) value.Value {
 // each dimension, into a fresh store; a cell moved past a fixed bound
 // is lost.
 func (e *Engine) shiftForInsert(a *array.Array, at []int64) error {
-	d, err := e.newDMLScan(a, nil, nil)
-	if err != nil {
-		return err
-	}
-	out, err := d.rebuild(a.Schema, func(dim int, c int64) (int64, bool) {
+	out, err := e.newDMLScan(a, nil, nil, true).rebuild(a.Schema, func(dim int, c int64) (int64, bool) {
 		if c >= at[dim] {
 			c += max(a.Schema.Dims[dim].Step, 1)
 		}
@@ -653,7 +671,7 @@ func (e *Engine) execDelete(s *ast.Delete, outer expr.Env) error {
 // line makes cells move: without one the matched cells are reset where
 // they are.
 func (e *Engine) deleteArray(a *array.Array, s *ast.Delete, outer expr.Env) error {
-	d, err := e.newDMLScan(a, s.Where, outer)
+	d, err := e.beginDML(a, s.Where, outer)
 	if err != nil {
 		return err
 	}
@@ -699,7 +717,7 @@ func (e *Engine) deleteArray(a *array.Array, s *ast.Delete, outer expr.Env) erro
 	for dim := range size {
 		size[dim] = make(map[int64]int64)
 	}
-	err = d.whole().each(func(cur *Dataset) error {
+	err = e.newDMLScan(a, nil, nil, true).each(func(cur *Dataset) error {
 		for dim := range size {
 			countLines(size[dim], cur.Vecs[dim])
 		}
@@ -736,7 +754,7 @@ func (e *Engine) deleteArray(a *array.Array, s *ast.Delete, outer expr.Env) erro
 		c, ok := remap[dim][c]
 		return c, ok
 	}
-	out, err := d.rebuild(a.Schema, move, nil)
+	out, err := e.newDMLScan(a, nil, nil, true).rebuild(a.Schema, move, nil)
 	if err != nil {
 		return err
 	}
@@ -803,11 +821,11 @@ func (d *dmlScan) scatterBlocks(coords []bat.Vector, column func(ai, lo, hi int,
 	return nil
 }
 
-// rebuild walks every cell of the snapshot into a fresh, default-filled
+// rebuild copies every cell d ranges over into a fresh, default-filled
 // store of schema sch (whose first attributes are a's), each at the
 // coordinates move gives it (moveRows), and returns the walk of the new
 // array; extra, if any, runs on every batch after its cells are copied.
-func (d *dmlScan) rebuild(sch array.Schema, move func(dim int, c int64) (int64, bool), extra func(d, out *dmlScan, cur *Dataset) error) (*dmlScan, error) {
+func (d *dmlScan) rebuild(sch array.Schema, move func(dim int, c int64) (int64, bool), extra func(out *dmlScan, cur *Dataset) error) (*dmlScan, error) {
 	a := d.a
 	st, err := d.e.newStore(a.Name, sch)
 	if err != nil {
@@ -815,7 +833,7 @@ func (d *dmlScan) rebuild(sch array.Schema, move func(dim int, c int64) (int64, 
 	}
 	out := &dmlScan{e: d.e, a: &array.Array{Name: a.Name, Schema: sch, Store: st}, out: st.(array.BulkWriter)}
 	nd := len(a.Schema.Dims)
-	return out, d.whole().each(func(cur *Dataset) error {
+	return out, d.each(func(cur *Dataset) error {
 		keep, moved := out.moveRows(cur.Vecs[:nd], move)
 		if len(keep) == 0 {
 			return nil
@@ -830,7 +848,7 @@ func (d *dmlScan) rebuild(sch array.Schema, move func(dim int, c int64) (int64, 
 			}
 		}
 		if extra != nil {
-			return extra(d, out, cur)
+			return extra(out, cur)
 		}
 		return nil
 	})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/bat"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/governor"
@@ -995,7 +996,7 @@ func (e *Engine) alterDimension(a *array.Array, dimName string, spec *ast.DimSpe
 	newSchema := a.Schema
 	newSchema.Dims = append([]array.Dimension(nil), a.Schema.Dims...)
 	newSchema.Dims[di] = *nd
-	nb, err := e.rebuiltArray(a, newSchema, env, func(dim int, c int64) (int64, bool) {
+	nb, err := e.newDMLScan(a, nil, env, false).rebuild(newSchema, func(dim int, c int64) (int64, bool) {
 		if dim == di {
 			c += delta
 		}
@@ -1004,7 +1005,7 @@ func (e *Engine) alterDimension(a *array.Array, dimName string, spec *ast.DimSpe
 	if err != nil {
 		return err
 	}
-	e.mut.ReplaceArray(nb)
+	e.mut.ReplaceArray(nb.a)
 	return nil
 }
 
@@ -1021,36 +1022,28 @@ func (e *Engine) addAttribute(a *array.Array, col *ast.ColDef, env expr.Env) err
 	added := array.Attr{Name: col.Name, Typ: col.Type, Default: value.NewNull(col.Type)}
 	newSchema := a.Schema
 	newSchema.Attrs = append(append([]array.Attr(nil), a.Schema.Attrs...), added)
-	nb, err := e.rebuiltArray(a, newSchema, env, nil, func(d, out *dmlScan, cur *Dataset) error {
+	nb, err := e.newDMLScan(a, nil, env, false).rebuild(newSchema, nil, func(out *dmlScan, cur *Dataset) error {
 		if col.Default == nil {
 			return nil
 		}
-		vals, err := d.column(col.Default, cur, added)
-		if err != nil {
-			return err
+		// Unlike a SET value, a default that does not coerce to the
+		// attribute's type fails the statement.
+		vals := make([]value.Value, cur.NumRows())
+		cell := &rowEnv{d: cur, outer: env}
+		for cell.row = range vals {
+			v, err := e.Ev.Eval(col.Default, cell)
+			if err == nil {
+				vals[cell.row], err = value.Coerce(v, col.Type)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		return out.scatter(cur.Vecs[:len(a.Schema.Dims)], len(a.Schema.Attrs), vals)
+		return out.scatter(cur.Vecs[:len(a.Schema.Dims)], len(a.Schema.Attrs), bat.FromValues(col.Type, vals))
 	})
 	if err != nil {
 		return fmt.Errorf("ALTER ARRAY %s ADD %s: %w", a.Name, col.Name, err)
 	}
-	e.mut.ReplaceArray(nb)
+	e.mut.ReplaceArray(nb.a)
 	return nil
-}
-
-// rebuiltArray copies the live cells of a, each at the coordinates
-// move gives it (nil: where it is), into a fresh array of the given
-// schema — a's attributes first — and calls extra, if any, on every
-// batch with the walk of a and of the new array.
-func (e *Engine) rebuiltArray(a *array.Array, sch array.Schema, env expr.Env, move func(dim int, c int64) (int64, bool), extra func(d, out *dmlScan, cur *Dataset) error) (*array.Array, error) {
-	d, err := e.newDMLScan(a, nil, env)
-	if err != nil {
-		return nil, err
-	}
-	d.src.covered = false
-	out, err := d.rebuild(sch, move, extra)
-	if err != nil {
-		return nil, err
-	}
-	return out.a, nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sql/parser"
@@ -476,6 +477,22 @@ func TestAlterAddDerivedColumn(t *testing.T) {
 	ds = run(t, e, `SELECT r FROM matrix WHERE x = 0 AND y = 3`, nil)
 	if got := ds.Get(0, 0).AsFloat(); got != 3 {
 		t.Errorf("r(0,3) = %v, want 3", got)
+	}
+}
+
+// A default that does not coerce to the added attribute's type fails
+// the ALTER and leaves the array as it was.
+func TestAlterAddDefaultCoercionError(t *testing.T) {
+	e := newMatrix(t)
+	stmts, err := parser.Parse(`ALTER ARRAY matrix ADD c FLOAT DEFAULT 'abc'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Exec(stmts[0], nil); err == nil || !strings.Contains(err.Error(), "cannot coerce") {
+		t.Errorf("ALTER ADD with an uncoercible default: err = %v, want a coercion error", err)
+	}
+	if ds := run(t, e, `SELECT * FROM matrix WHERE x = 0 AND y = 0`, nil); ds.NumCols() != 3 {
+		t.Errorf("the failed ALTER left %d columns, want 3", ds.NumCols())
 	}
 }
 

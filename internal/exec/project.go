@@ -334,10 +334,13 @@ func dimType(t value.Type) value.Type {
 //     bounds").
 func (e *Engine) fillArrayFromDataset(a *array.Array, ds *Dataset) error {
 	nd, na := len(a.Schema.Dims), len(a.Schema.Attrs)
-	out, ok := a.Store.(array.BulkWriter)
-	if !ok {
-		return fmt.Errorf("array %s: %s storage offers no bulk write", a.Name, a.Store.Scheme())
+	// The rows may be views of a's own segments (INSERT INTO m SELECT …
+	// FROM m): a writing statement copies a segment before it writes one.
+	w, err := e.beginDML(a, nil, nil)
+	if err != nil {
+		return err
 	}
+	defer w.finish()
 	var dimCols, attrCols []int
 	for i, c := range ds.Cols {
 		if c.IsDim {
@@ -390,7 +393,6 @@ func (e *Engine) fillArrayFromDataset(a *array.Array, ds *Dataset) error {
 	}
 	// Rows with a NULL coordinate or outside the valid domain are
 	// dropped; values are coerced and CHECKed like any array write.
-	w := &dmlScan{e: e, a: a, out: out}
 	keep, cells := w.moveRows(coords, nil)
 	if len(keep) == 0 {
 		return nil

@@ -21,7 +21,7 @@ func (s *linearStore) CoveredChunks(target int, restrict []array.DimRange) []arr
 
 // Scatter computes every row's position from the typed coordinate
 // columns, then writes the values segment by segment.
-func (s *linearStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) (array.Copied, error) {
+func (s *linearStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) error {
 	n := vals.Len()
 	pos := make([]int, n)
 	for d, dim := range s.dims {
@@ -29,7 +29,7 @@ func (s *linearStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) (a
 		for i, c := range coords[d].(*bat.IntVector).Ints() {
 			ord := (c - dim.Start) / step
 			if c < dim.Start || ord >= s.sizes[d] {
-				return s.takeCopied(), fmt.Errorf("%s store: coordinate %d of dimension %s out of bounds", s.scheme, c, dim.Name)
+				return fmt.Errorf("%s store: coordinate %d of dimension %s out of bounds", s.scheme, c, dim.Name)
 			}
 			pos[i] += int(ord * s.strides[d])
 		}
@@ -57,7 +57,7 @@ func (s *linearStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) (a
 		storeValues(sg, pos[lo:hi], vals, lo)
 		lo = hi
 	}
-	return s.takeCopied(), nil
+	return nil
 }
 
 // storeValues copies elements [off, off+len(pos)) of vals into sg at
@@ -94,9 +94,8 @@ func (s *slabStore) CoveredChunks(target int, restrict []array.DimRange) []array
 	return coveredByGet(s, s.dims, s.attrs, restrict)
 }
 
-func (s *slabStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) (array.Copied, error) {
-	err := scatterBySet(s, coords, attr, vals)
-	return s.takeCopied(), err
+func (s *slabStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) error {
+	return scatterBySet(s, coords, attr, vals)
 }
 
 func (s *tabularStore) CoveredChunks(target int, restrict []array.DimRange) []array.ColumnChunk {
@@ -106,9 +105,8 @@ func (s *tabularStore) CoveredChunks(target int, restrict []array.DimRange) []ar
 	return coveredByGet(s, s.dims, s.attrs, restrict)
 }
 
-func (s *tabularStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) (array.Copied, error) {
-	err := scatterBySet(s, coords, attr, vals)
-	return s.takeCopied(), err
+func (s *tabularStore) Scatter(coords []bat.Vector, attr int, vals bat.Vector) error {
+	return scatterBySet(s, coords, attr, vals)
 }
 
 // scatterBySet is Scatter as one Set per row.
@@ -127,7 +125,15 @@ func scatterBySet(st array.Store, coords []bat.Vector, attr int, vals bat.Vector
 
 // coveredByGet serves CoveredChunks of a bounded array for the schemes
 // that keep no dense positions: one chunk that enumerates the admitted
-// box in row-major order and reads every cell with Get.
+// box in row-major order and reads every cell with Get. It is the
+// cell-at-a-time face on purpose: a covered walk is mostly holes where
+// these schemes are the right choice (a bounded array is slab only
+// above 2^28 cells, tabular only when hinted under 5 % dense, or
+// either when a test or ablation forces it), so the box enumeration,
+// not the boxed Get, is what it costs, and serving it from block grids
+// with absent blocks as NULL runs would be a second batcher for no
+// workload the policy produces. Neither chunking nor zone maps are
+// lost to DML by it: a covered scan skips no chunk (holes are rows).
 func coveredByGet(st array.Store, dims []array.Dimension, attrs []array.Attr, restrict []array.DimRange) []array.ColumnChunk {
 	nd := len(dims)
 	return []array.ColumnChunk{func(limit int, visit func(array.ColumnBatch) bool) {

@@ -45,8 +45,6 @@ type cow struct {
 	// and a published snapshot may be cloned by several writers at once.
 	// Only writers read it, and a store has one writer at a time.
 	own atomic.Pointer[owner]
-	// copied is what privatizations since the last takeCopied copied.
-	copied array.Copied
 	// notify, when set, hears of every privatization as it happens.
 	notify func(bytes int64)
 }
@@ -55,22 +53,16 @@ type cow struct {
 func (c *cow) disown() { c.own.Store(new(owner)) }
 
 func (c *cow) privatized(bytes int64) {
-	c.copied.Segments++
-	c.copied.Bytes += bytes
 	if c.notify != nil {
 		c.notify(bytes)
 	}
 }
 
-// takeCopied returns and resets the privatization account.
-func (c *cow) takeCopied() array.Copied {
-	out := c.copied
-	c.copied = array.Copied{}
-	return out
+// ObserveCopies implements array.BulkWriter.
+func (c *cow) ObserveCopies(fn func(bytes int64)) (prev func(bytes int64)) {
+	prev, c.notify = c.notify, fn
+	return prev
 }
-
-// ObserveCopies implements array.CopyObserver.
-func (c *cow) ObserveCopies(fn func(bytes int64)) { c.notify = fn }
 
 // segment is one stretch of a typed attribute column with a validity
 // bitmap (0 bit = NULL/hole): the dense C-array of the MonetDB BAT

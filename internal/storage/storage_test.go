@@ -743,7 +743,7 @@ func TestCloneSharesUntouchedSegments(t *testing.T) {
 		// Writes to attribute 0 at cells that all sit in one segment of
 		// a positional scheme (row 7) and in one 4x4 slab.
 		var copied int64
-		clone.(array.CopyObserver).ObserveCopies(func(bytes int64) { copied += bytes })
+		clone.(array.BulkWriter).ObserveCopies(func(bytes int64) { copied += bytes })
 		for y := int64(0); y < 4; y++ {
 			if err := clone.Set([]int64{7, y}, 0, value.NewFloat(-1)); err != nil {
 				t.Fatal(err)
@@ -968,22 +968,24 @@ func TestBulkWriterMatchesGetAndSet(t *testing.T) {
 		coords := []bat.Vector{bat.NewIntVector(xs), bat.NewIntVector(ys)}
 		// The clone shares every segment, so the write copies what it
 		// touches; writing the same cells again finds them its own.
-		copied, err := bw.Scatter(coords, 0, bat.FromValues(value.Float, vals))
-		if err != nil {
+		var segments, bytes int64
+		bw.ObserveCopies(func(b int64) { segments, bytes = segments+1, bytes+b })
+		if err := bw.Scatter(coords, 0, bat.FromValues(value.Float, vals)); err != nil {
 			t.Fatal(err)
 		}
-		if copied.Segments == 0 || copied.Bytes == 0 {
-			t.Errorf("%s: Scatter into shared segments copied %+v", name, copied)
+		if segments == 0 || bytes == 0 {
+			t.Errorf("%s: Scatter into shared segments copied %d segments, %d bytes", name, segments, bytes)
 		}
 		sameLines(t, name+" after Scatter", renderScan(st.Scan), renderScan(viaSet.Scan))
 		if st.Len() != viaSet.Len() {
 			t.Errorf("%s: Len %d after Scatter, %d after the same Sets", name, st.Len(), viaSet.Len())
 		}
-		if copied, _ = bw.Scatter(coords, 0, bat.FromValues(value.Float, vals)); copied.Segments != 0 {
-			t.Errorf("%s: Scatter into its own segments copied %+v", name, copied)
+		segments = 0
+		if _ = bw.Scatter(coords, 0, bat.FromValues(value.Float, vals)); segments != 0 {
+			t.Errorf("%s: Scatter into its own segments copied %d", name, segments)
 		}
 		assertStatsFresh(t, name, st, sch, "after Scatter")
-		if _, err := bw.Scatter([]bat.Vector{bat.NewIntVector([]int64{n}), bat.NewIntVector([]int64{0})}, 0, bat.FromValues(value.Float, vals[:1])); err == nil && st.Scheme() != SchemeSlab && st.Scheme() != SchemeTabular {
+		if err := bw.Scatter([]bat.Vector{bat.NewIntVector([]int64{n}), bat.NewIntVector([]int64{0})}, 0, bat.FromValues(value.Float, vals[:1])); err == nil && st.Scheme() != SchemeSlab && st.Scheme() != SchemeTabular {
 			t.Errorf("%s: Scatter outside the bounds did not fail", name)
 		}
 	}

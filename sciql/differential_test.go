@@ -424,8 +424,9 @@ func dmlDB(t testing.TB, scheme string) *DB {
 // dmlStatements is the DML half of the differential suite: the shapes
 // the naive evaluator also checks, then shapes on the arrays it cannot
 // model — CHECK-nullified values, dimension-CHECK carve-outs, stepped
-// and unbounded dimensions, array-reference targets and expressions
-// the kernel compiler rejects — each naming the array it writes.
+// and unbounded dimensions, array-reference targets and reads, and
+// expressions the kernel compiler rejects — each naming the array it
+// writes.
 func dmlStatements() [][2]string {
 	var out [][2]string
 	for _, s := range dmlShapes() {
@@ -449,6 +450,9 @@ func dmlStatements() [][2]string {
 		{"grid", `UPDATE grid SET a = CASE WHEN c IS NULL THEN -1 ELSE c END WHERE y < 48`},
 		{"grid", `UPDATE grid SET grid[x][y].b = a + 1 WHERE x < 6`},
 		{"holes", `UPDATE holes SET p = (SELECT MAX(a) FROM grid) WHERE x = 11 AND y < 20`},
+		// Reads of the written array itself see pre-statement values in
+		// every scheme, however differently each one cuts its batches.
+		{"grid", `UPDATE grid SET a = grid[x-1][y].a + grid[x][y-1].a, b = grid[x-1][y-1].a WHERE x > 0 AND y > 0`},
 	}...)
 }
 

@@ -73,3 +73,50 @@ func TestExplainAnalyzeDML(t *testing.T) {
 		t.Errorf("after the analyzed statements: %s, want 57|1", got)
 	}
 }
+
+// TestDMLReadsPreStatementValues pins statement-level snapshot reads:
+// whatever a statement reads of the array it writes — its own columns,
+// an array reference to another cell, a subquery — is the value before
+// the statement, on every scheme, columnar or interpreted. The array
+// spans three 4096-cell segments and scan batches, so a write that
+// leaked into a later batch's reads would show at x = 4096 and 8192.
+func TestDMLReadsPreStatementValues(t *testing.T) {
+	const n = 10000
+	for _, scheme := range diffSchemes {
+		for _, vec := range []bool{true, false} {
+			name := fmt.Sprintf("scheme %q vectorize=%v", scheme, vec)
+			db := Open()
+			db.Vectorize(vec)
+			db.SetStorageHint("m", scheme, 64)
+			db.MustExec(fmt.Sprintf(`CREATE ARRAY m (x INTEGER DIMENSION[%d], v FLOAT DEFAULT 1.0, w FLOAT DEFAULT 0.0)`, n))
+			check := func(after, sql, want string, args ...Arg) {
+				t.Helper()
+				if got := numericLines(db.MustQuery(sql, args...)); got != want {
+					t.Errorf("%s after %s: %s = %s, want %s", name, after, sql, got, want)
+				}
+			}
+			// Every cell but the first reads its left neighbour's old 1.
+			db.MustExec(`UPDATE m SET v = m[x-1].v + 1 WHERE x > 0`)
+			check("the neighbour read", `SELECT COUNT(*), MIN(v), MAX(v) FROM m WHERE x > 0`, fmt.Sprintf("%d|2|2", n-1))
+			// The subquery sums the old column for each of the ten rows, on
+			// either side of the segment boundary.
+			db.MustExec(`UPDATE m SET v = 1`)
+			db.MustExec(`UPDATE m SET v = (SELECT SUM(v) FROM m) + x WHERE x >= 4090 AND x < 4100`)
+			check("the subquery read", `SELECT COUNT(*) FROM m WHERE v = ?n + x`, "10", Int("n", n))
+			// A later SET clause sees the earlier clause's column, and still
+			// the neighbour's old v.
+			db.MustExec(`UPDATE m SET v = x`)
+			db.MustExec(`UPDATE m SET v = -x, w = v + m[x-1].v WHERE x > 0`)
+			check("the sequential SETs", `SELECT COUNT(*) FROM m WHERE w = -1`, fmt.Sprint(n-1))
+			// A guarded SET reads like an UPDATE does.
+			db.MustExec(`SET m[x].v = CASE WHEN x > 0 THEN m[x-1].v + 2 END`)
+			check("the guarded SET", `SELECT COUNT(*) FROM m WHERE x > 0 AND v = 3 - x`, fmt.Sprint(n-1))
+			// A DELETE decides every cell on the old values. Each cell of a
+			// one-dimensional array is a whole line, so the one it matches is
+			// taken out and the cells above it close up.
+			db.MustExec(`UPDATE m SET v = x`)
+			db.MustExec(`DELETE FROM m WHERE x > 0 AND m[x-1].v = 4095`)
+			check("the DELETE", `SELECT x, v FROM m WHERE x IN (4095, 4096, 9998, 9999)`, "4095|4095\n4096|4097\n9998|9999\n9999|1")
+		}
+	}
+}
