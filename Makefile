@@ -59,7 +59,7 @@ test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -bench 'BenchmarkParallel|BenchmarkPreparedVsAdhoc|BenchmarkVectorizedScan|BenchmarkConcurrentReaders|BenchmarkDML' -benchtime 2x -run '^$$' .
+	$(GO) test -bench 'BenchmarkParallel|BenchmarkPreparedVsAdhoc|BenchmarkVectorizedScan|BenchmarkConcurrentReaders|BenchmarkDML|BenchmarkRowsDrain|BenchmarkWireFetch' -benchtime 2x -run '^$$' .
 
 # bench-smoke vets and smoke-tests the benchmark harness. bench/ is a
 # Go module of its own (it replaces repro with ../ and imports

@@ -12,8 +12,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/server"
+	"repro/internal/server/pgwire"
 	"repro/internal/storage"
 	"repro/sciql"
 )
@@ -807,5 +810,69 @@ func BenchmarkDMLDelete(b *testing.B) {
 		b.StopTimer()
 		db.MustExec(`INSERT INTO plate SELECT [x], [y], a, b, c FROM stage WHERE ` + box)
 		b.StartTimer()
+	}
+}
+
+// --- The result path: column batches to the client ---------------------------
+
+// BenchmarkRowsDrain reads a 300 k-row filter result (the shape of
+// scan_analytics' widest statement) through Next + Scan into typed
+// destinations: the cursor serves column batches and Scan reads their
+// slots, so the drain allocates per batch, not per row or cell.
+func BenchmarkRowsDrain(b *testing.B) {
+	db := dmlBenchDB(b, "sky", 1024)
+	const q = `SELECT x, y, a FROM sky WHERE c < 5` // 5 of 16 residues: ~328 k of 1 Mi rows
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rows int64
+	for i := 0; i < b.N; i++ {
+		rs, err := db.QueryContext(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var x, y int64
+		var a, sum float64
+		for rs.Next() {
+			if err := rs.Scan(&x, &y, &a); err != nil {
+				b.Fatal(err)
+			}
+			sum += a + float64(x+y)
+			rows++
+		}
+		if err := rs.Err(); err != nil || sum == 0 {
+			b.Fatalf("drain: sum %v, err %v", sum, err)
+		}
+		rs.Close()
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
+// BenchmarkWireFetch fetches a 1 024-row result (wire_mixed's fetch
+// class) over loopback pgwire with the simple-query protocol: statement
+// cache hit, streamed scan, DataRow frames formatted from the column
+// batch into the connection's frame buffer, and the client's decode.
+func BenchmarkWireFetch(b *testing.B) {
+	db := dmlBenchDB(b, "tile", 32)
+	srv := server.New(db, server.Config{PgAddr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	c, err := pgwire.Dial(srv.PgAddr(), pgwire.ClientConfig{Timeout: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.SimpleQuery(`SELECT x, y, a, c FROM tile`)
+		if err != nil || len(res) != 1 || len(res[0].Rows) != 1024 {
+			b.Fatalf("fetch: %d results, err %v", len(res), err)
+		}
 	}
 }

@@ -258,6 +258,30 @@ func isBatchVisitor(t types.Type) bool {
 	return isNamedType(sig.Params().At(0).Type(), "array", "ColumnBatch")
 }
 
+// pullsBatch reports whether a loop body takes a column batch from a
+// result cursor at its own level — sciql.Rows.Batch or
+// exec.Cursor.NextBatch, outside any nested loop or function literal.
+// Such a loop runs once per batch (up to thousands of rows), not once
+// per row: the granularity at which the row-streaming paths flush
+// counters and poll their context.
+func pullsBatch(pass *analysis.Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if recv, method, ok := methodCall(x); ok {
+				t := pass.TypeOf(recv)
+				found = found || method == "Batch" && isNamedType(t, "sciql", "Rows") ||
+					method == "NextBatch" && isNamedType(t, "internal/exec", "Cursor")
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // isDatasetVisitor reports whether t is the executor's per-batch step
 // func(*Dataset) error (or bool): what scanChunk, and through it a DML
 // statement's walk, calls once per scan batch.

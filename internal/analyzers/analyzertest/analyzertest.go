@@ -60,6 +60,38 @@ func Run(t *testing.T, testdata string, as []*analysis.Analyzer, paths ...string
 	}
 }
 
+// Source typechecks an in-memory package — import path pkgPath, its
+// files given as name → source text, imports resolved like a fixture's
+// (testdata/src first) — applies the analyzers, and returns the
+// surviving diagnostics' messages. It is for tests that build a tiny
+// package around a piece of real code and assert what the analyzers
+// make of it.
+func Source(t *testing.T, testdata string, as []*analysis.Analyzer, pkgPath string, src map[string]string) []string {
+	t.Helper()
+	l := newLoader(filepath.Join(testdata, "src"))
+	var files []*ast.File
+	for name, text := range src {
+		f, err := parser.ParseFile(l.fset, name, text, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", name, err)
+		}
+		files = append(files, f)
+	}
+	p, err := l.check(pkgPath, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analyzers.Run(l.fset, p.files, p.pkg, p.info, as)
+	if err != nil {
+		t.Fatalf("running analyzers on %s: %v", pkgPath, err)
+	}
+	msgs := make([]string, len(diags))
+	for i, d := range diags {
+		msgs[i] = d.Message
+	}
+	return msgs
+}
+
 // loader typechecks fixture packages with fixture-first import
 // resolution.
 type loader struct {
@@ -129,6 +161,11 @@ func (l *loader) load(path string) (*fixturePkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
+	return l.check(path, files)
+}
+
+// check typechecks files as the package at path and memoizes it.
+func (l *loader) check(path string, files []*ast.File) (*fixturePkg, error) {
 	info := analysis.NewInfo()
 	var tcErrs []error
 	conf := types.Config{

@@ -53,19 +53,27 @@ import (
 // loops that bound each read with a socket deadline instead can be
 // suppressed with //lint:allow ctxpoll <reason>.
 //
+// The result side of the same packages (pgwire and httpapi) streams
+// column batches out of a cursor: a loop that takes a batch per
+// iteration (sciql.Rows.Batch) and encodes it runs for as long as the
+// result is — a materialized million-row result does not pass through
+// any polling scan while it is sent — so it must poll the statement's
+// context once per batch, and a fetch stops within one batch of a
+// cancel.
+//
 // Visitors over provably tiny domains can be suppressed with
 // //lint:allow ctxpoll <reason>.
 var CtxPoll = &analysis.Analyzer{
 	Name: "ctxpoll",
 	Doc: "store-scan visitor literals (per cell and per column batch), key-table build loops and bulk-write loops " +
 		"outside a scan visitor in internal/exec must poll ctx.Err()/Done() or Engine.canceled() so cancellation " +
-		"stops chunk-scale scans and writes; connection read " +
-		"loops in internal/server/pgwire must poll a shutdown context between frames",
+		"stops chunk-scale scans and writes; in internal/server/pgwire and httpapi, connection read " +
+		"loops must poll a shutdown context between frames and batch-encode loops the statement context per batch",
 	Run: runCtxPoll,
 }
 
 func runCtxPoll(pass *analysis.Pass) (any, error) {
-	if pkgPathHasSuffix(pass.Pkg, "internal/server/pgwire") {
+	if pkgPathHasSuffix(pass.Pkg, "internal/server/pgwire") || pkgPathHasSuffix(pass.Pkg, "internal/server/httpapi") {
 		return runCtxPollServer(pass)
 	}
 	if !pkgPathHasSuffix(pass.Pkg, "internal/exec") {
@@ -152,8 +160,9 @@ func scatters(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// runCtxPollServer checks the server read-loop rule: a for/range loop
-// that pulls frames from a pgwire.Reader must poll a context.
+// runCtxPollServer checks the server loop rules: a for/range loop that
+// pulls frames from a pgwire.Reader, or column batches from a result
+// cursor, must poll a context.
 func runCtxPollServer(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
@@ -172,6 +181,10 @@ func runCtxPollServer(pass *analysis.Pass) (any, error) {
 			if loopReadsFrames(pass, body) && !containsCtxPoll(pass, body) {
 				pass.Reportf(n.Pos(),
 					"connection read loop without a shutdown poll: check ctx.Err()/Done() between frames so draining reaches idle connections")
+			}
+			if pullsBatch(pass, body) && !containsCtxPoll(pass, body) {
+				pass.Reportf(n.Pos(),
+					"batch-encode loop without a cancellation poll: check the statement's ctx.Err()/Done() once per batch so a large result stops within one batch of a cancel")
 			}
 			return true
 		})

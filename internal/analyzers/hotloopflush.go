@@ -47,9 +47,13 @@ import (
 // (internal/server and its pgwire/httpapi subpackages): a DataRow
 // streaming loop runs per row of a result, which for array queries is
 // the same cell-scale cardinality as a store scan, so per-row
-// instrument mutations there get the same treatment — accumulate into
-// a local, flush once per result (sendRows' rows-sent counter is the
-// reference pattern).
+// instrument mutations there get the same treatment. Results travel as
+// column batches, and — like the batch visitor above — a loop that
+// takes one batch from the cursor per iteration (pullsBatch: it calls
+// sciql.Rows.Batch or exec.Cursor.NextBatch) is a per-batch context:
+// flushing the rows-sent counter once per batch there is the
+// sanctioned granularity (sendRows is the reference pattern), while
+// the loop over the batch's rows inside it is per-row and flagged.
 var HotLoopFlush = &analysis.Analyzer{
 	Name: "hotloopflush",
 	Doc: "no telemetry atomics or governor budget charges inside per-cell loops in " +
@@ -104,11 +108,11 @@ func hotWalk(pass *analysis.Pass, n ast.Node, hot bool) {
 			if x.Post != nil {
 				hotWalk(pass, x.Post, hot)
 			}
-			hotWalk(pass, x.Body, true)
+			hotWalk(pass, x.Body, !pullsBatch(pass, x.Body))
 			return false
 		case *ast.RangeStmt:
 			hotWalk(pass, x.X, hot)
-			hotWalk(pass, x.Body, true)
+			hotWalk(pass, x.Body, !pullsBatch(pass, x.Body))
 			return false
 		case *ast.FuncLit:
 			hotWalk(pass, x.Body, isCellVisitor(pass.TypeOf(x)))

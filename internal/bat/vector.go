@@ -240,6 +240,9 @@ type BoolVector struct {
 	nulls nullset
 }
 
+// Bools exposes the raw backing slice for bulk readers.
+func (v *BoolVector) Bools() []bool { return v.data }
+
 func (v *BoolVector) Type() value.Type  { return value.Bool }
 func (v *BoolVector) Len() int          { return len(v.data) }
 func (v *BoolVector) IsNull(i int) bool { return v.nulls.get(i) }
@@ -300,6 +303,9 @@ type StringVector struct {
 	data  []string
 	nulls nullset
 }
+
+// Strings exposes the raw backing slice for bulk readers.
+func (v *StringVector) Strings() []string { return v.data }
 
 func (v *StringVector) Type() value.Type  { return value.String }
 func (v *StringVector) Len() int          { return len(v.data) }

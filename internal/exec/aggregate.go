@@ -417,7 +417,7 @@ func (e *Engine) aggScanSelect(sel *ast.Select, env *baseEnv) (*Dataset, bool, e
 		return nil, false, nil
 	}
 	sp, ok, err := e.compileScan(sel, env)
-	if err != nil || !ok {
+	if err != nil || !ok || allPoint(sp.eff) {
 		return nil, false, err
 	}
 	ga := e.compileGroupAgg(sel, sel.Items, sel.Having, sp.cols, env, nil)
@@ -491,7 +491,7 @@ func (e *Engine) aggScanSelect(sel *ast.Select, env *baseEnv) (*Dataset, bool, e
 		pf.Aggregate.AddNanos(time.Since(t0))
 		pf.Aggregate.RowsOut.Add(int64(out.NumRows()))
 	}
-	out, err = e.finishSelect(sel, out, env)
+	out, err = e.finishSelectSorted(sel, out, env, false)
 	return out, true, err
 }
 

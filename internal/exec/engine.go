@@ -399,24 +399,10 @@ func (e *Engine) SetVectorized(on bool) {
 	e.invalidateVecCache()
 }
 
-// Vectorized reports whether bulk-kernel evaluation is enabled.
-func (e *Engine) Vectorized() bool { return e.vectorized }
-
 // SetChunkSkip toggles zone-map chunk skipping on scans. Results are
 // byte-identical either way — the knob exists for benchmarking and the
 // identity test suite.
 func (e *Engine) SetChunkSkip(on bool) { e.chunkSkip = on }
-
-// ChunkSkipping reports whether zone-map chunk skipping is enabled.
-func (e *Engine) ChunkSkipping() bool { return e.chunkSkip }
-
-// Parallelism reports the configured worker count (1 = serial).
-func (e *Engine) Parallelism() int {
-	if e.parallelism <= 1 {
-		return 1
-	}
-	return e.parallelism
-}
 
 // DatasetToArray exposes the dataset→array coercion (§3.3) to the
 // public API.
@@ -426,6 +412,15 @@ func (e *Engine) DatasetToArray(ds *Dataset, name string) (*array.Array, error) 
 
 // baseEnv wraps host parameters as the root environment.
 type baseEnv struct{ params map[string]value.Value }
+
+// newBaseEnv binds a statement's host parameters, names lower-cased.
+func newBaseEnv(params map[string]value.Value) *baseEnv {
+	norm := make(map[string]value.Value, len(params))
+	for k, v := range params {
+		norm[strings.ToLower(k)] = v
+	}
+	return &baseEnv{params: norm}
+}
 
 func (b *baseEnv) Lookup(string, string) (value.Value, bool) { return value.Value{}, false }
 func (b *baseEnv) Param(name string) (value.Value, bool) {
@@ -573,11 +568,7 @@ func (e *Engine) pinCursorSnapshot() (release func()) {
 }
 
 func (e *Engine) execStmt(stmt ast.Statement, params map[string]value.Value) (*Dataset, error) {
-	norm := make(map[string]value.Value, len(params))
-	for k, v := range params {
-		norm[strings.ToLower(k)] = v
-	}
-	env := &baseEnv{params: norm}
+	env := newBaseEnv(params)
 	// Writing statements run under a catalog mutation (the open
 	// transaction's, or an autocommit one wrapping this statement):
 	// every touched object is cloned before its first write, and the

@@ -77,11 +77,6 @@ func (e *Engine) selectDecision(sel *ast.Select) planDecision {
 	return dec
 }
 
-// selectParallelism is the worker-count view of selectDecision.
-func (e *Engine) selectParallelism(sel *ast.Select) int {
-	return e.selectDecision(sel).par
-}
-
 // PrimePlan resolves (and memoizes) the routing decision for sel
 // without executing it. The public layer calls it to time the planning
 // phase for trace hooks; the decision is cached per AST node, so the

@@ -47,9 +47,7 @@ func (e *Engine) execSelect(sel *ast.Select, outer expr.Env) (*Dataset, error) {
 	if left.NumCols() != right.NumCols() {
 		return nil, fmt.Errorf("UNION operands have %d and %d columns", left.NumCols(), right.NumCols())
 	}
-	for r := 0; r < right.NumRows(); r++ {
-		left.Append(right.Row(r))
-	}
+	left.concat(right)
 	if sel.SetOp == "UNION" {
 		return e.dedupe(left)
 	}
@@ -251,7 +249,7 @@ func (e *Engine) fusedScanSelect(sel *ast.Select, env *baseEnv) (*Dataset, bool,
 		}
 	}
 	sp, ok, err := e.compileStream(sel, env)
-	if err != nil || !ok {
+	if err != nil || !ok || allPoint(sp.eff) {
 		return nil, false, err
 	}
 	if sp.vec == nil && sp.limit < 0 {
@@ -294,11 +292,8 @@ func resolveOrderCols(items []ast.OrderItem, ds *Dataset) (cols []int, desc []bo
 	return cols, desc, true
 }
 
-// finishSelect applies DISTINCT, ORDER BY and LIMIT.
-func (e *Engine) finishSelect(sel *ast.Select, out *Dataset, outer expr.Env) (*Dataset, error) {
-	return e.finishSelectSorted(sel, out, outer, false)
-}
-
+// finishSelectSorted applies DISTINCT, ORDER BY (unless the rows are
+// already sorted) and LIMIT.
 func (e *Engine) finishSelectSorted(sel *ast.Select, out *Dataset, outer expr.Env, sorted bool) (*Dataset, error) {
 	pf := e.prof
 	var t0 time.Time
@@ -509,7 +504,7 @@ func (e *Engine) projectRowless(sel *ast.Select, outer expr.Env) (*Dataset, erro
 	// A single array value expands into its cell listing.
 	if len(vals) == 1 && vals[0].Typ == value.Array && !vals[0].Null {
 		if a, ok := vals[0].A.(*array.Array); ok {
-			return e.scanArray(a, a.Name, nil, nil)
+			return e.scanArrayPruned(a, a.Name, nil, nil, nil, 1, nil)
 		}
 	}
 	cols := make([]Col, len(vals))
@@ -913,11 +908,6 @@ func selContains(s dimSel, v int64) bool {
 	return true
 }
 
-// scanArray materializes an array serially with every attribute.
-func (e *Engine) scanArray(a *array.Array, qual string, sels []dimSel, restrict map[int]dimSel) (*Dataset, error) {
-	return e.scanArrayPruned(a, qual, sels, restrict, nil, 1, nil)
-}
-
 // scanArrayPruned materializes an array as a dataset of dimension
 // columns (IsDim) and the attribute columns selected by attrs (the
 // optimizer's pruned scan projection; nil keeps all), skipping holes
@@ -926,43 +916,47 @@ func (e *Engine) scanArray(a *array.Array, qual string, sels []dimSel, restrict 
 // is a direct cell read, anything else concatenates the store's column
 // batches (materializeScan).
 func (e *Engine) scanArrayPruned(a *array.Array, qual string, sels []dimSel, restrict map[int]dimSel, attrs []int, par int, sk *chunkSkipper) (*Dataset, error) {
-	nd := len(a.Schema.Dims)
-	cols := scanColsPruned(a, qual, attrs)
 	// Effective per-dim constraint = intersection of sels and restrict.
-	eff := effectiveSels(a, sels, restrict)
-	if allPoint(eff) {
-		out := NewDataset(cols)
-		coords := make([]int64, nd)
-		for i := range eff {
-			coords[i] = eff[i].val
-		}
-		if a.ValidCoords(coords) {
-			// Liveness is judged on every attribute — a cell whose
-			// selected attributes are NULL is still live (not a hole)
-			// when an unselected one is set.
-			na := len(a.Schema.Attrs)
-			all := make([]value.Value, na)
-			hole := true
-			for ai := 0; ai < na; ai++ {
-				all[ai] = a.Store.Get(coords, ai)
-				if !all[ai].Null {
-					hole = false
-				}
-			}
-			if !hole {
-				row := make([]value.Value, len(cols))
-				for i, c := range coords {
-					row[i] = value.Value{Typ: a.Schema.Dims[i].Typ, I: c}
-				}
-				for vi, ai := range array.AllAttrs(attrs, na) {
-					row[nd+vi] = all[ai]
-				}
-				out.Append(row)
-			}
-		}
-		return out, nil
+	src := &scanSource{arr: a, cols: scanColsPruned(a, qual, attrs), attrs: attrs, eff: effectiveSels(a, sels, restrict), skip: sk, prof: e.prof, budget: e.budget}
+	if allPoint(src.eff) {
+		return readPoint(src), nil
 	}
-	return e.materializeScan(&scanSource{arr: a, cols: cols, attrs: attrs, eff: eff, skip: sk, prof: e.prof, budget: e.budget}, par)
+	return e.materializeScan(src, par)
+}
+
+// readPoint reads the one cell an all-point restriction addresses, as a
+// dataset over src.cols: one row, or none when the coordinates are out
+// of bounds or the cell is a hole.
+func readPoint(src *scanSource) *Dataset {
+	a := src.arr
+	out := NewDataset(src.cols)
+	coords := make([]int64, len(src.eff))
+	for i := range src.eff {
+		coords[i] = src.eff[i].val
+	}
+	if !a.ValidCoords(coords) {
+		return out
+	}
+	// Liveness is judged on every attribute — a cell whose selected
+	// attributes are NULL is still live (not a hole) when an unselected
+	// one is set.
+	na := len(a.Schema.Attrs)
+	all := make([]value.Value, na)
+	hole := true
+	for ai := range all {
+		all[ai] = a.Store.Get(coords, ai)
+		hole = hole && all[ai].Null
+	}
+	if hole {
+		return out
+	}
+	for i, c := range coords {
+		out.Vecs[i].Append(value.Value{Typ: a.Schema.Dims[i].Typ, I: c})
+	}
+	for vi, ai := range array.AllAttrs(src.attrs, na) {
+		out.Vecs[len(coords)+vi].Append(all[ai])
+	}
+	return out
 }
 
 // allPoint reports whether eff pins every dimension to a point: the

@@ -38,57 +38,54 @@ import (
 // the completed dataset through the same Cursor interface: one
 // implementation, two views.
 
-// rowBatch is one step of a cursor's stream: the output rows of one
-// scan batch (serial) or scan chunk (parallel) — a dataset when the
-// kernel pipeline produced them, boxed rows when the interpreter did —
-// or a terminal error.
-type rowBatch struct {
-	ds   *Dataset
-	rows [][]value.Value
+// Batch is the unit a result travels in, from the operator to the
+// socket: the output rows of one scan batch — typed columns in Vecs
+// (read-only, possibly views of the store) when the kernel pipeline or
+// a materialized dataset produced them, boxed Rows where the
+// interpreter did. err marks the terminal step of a failed stream.
+type Batch struct {
+	Vecs []bat.Vector
+	Rows [][]value.Value
 	err  error
 }
 
-func (b *rowBatch) numRows() int {
-	if b.ds != nil {
-		return b.ds.NumRows()
+// Len returns the number of rows.
+func (b *Batch) Len() int {
+	if len(b.Vecs) > 0 {
+		return b.Vecs[0].Len()
 	}
-	return len(b.rows)
+	return len(b.Rows)
 }
 
-// add appends o's rows (the same representation as b's).
-func (b *rowBatch) add(o rowBatch) {
-	switch {
-	case o.ds == nil:
-		b.rows = append(b.rows, o.rows...)
-	case b.ds == nil:
-		b.ds = NewDataset(o.ds.Cols)
-		fallthrough
-	default:
-		b.ds.concat(o.ds)
+// Value boxes one cell, whichever way the batch holds it.
+func (b *Batch) Value(col, row int) value.Value {
+	if b.Vecs != nil {
+		return b.Vecs[col].Get(row)
 	}
+	return b.Rows[row][col]
 }
 
 // head cuts the batch down to its first k rows.
-func (b *rowBatch) head(k int) {
-	if b.ds == nil {
-		b.rows = b.rows[:k]
+func (b *Batch) head(k int) {
+	if b.Vecs == nil {
+		b.Rows = b.Rows[:k]
 		return
 	}
-	out := &Dataset{Cols: b.ds.Cols, Vecs: make([]bat.Vector, len(b.ds.Vecs))}
-	for i, v := range b.ds.Vecs {
-		out.Vecs[i] = v.Slice(0, k)
+	vecs := make([]bat.Vector, len(b.Vecs))
+	for i, v := range b.Vecs {
+		vecs[i] = bat.ViewRange(v, 0, k)
 	}
-	b.ds = out
+	b.Vecs = vecs
 }
 
 // approxBytes estimates the batch's footprint for the memory budget.
-func (b *rowBatch) approxBytes() int64 {
-	return approxDatasetBytes(b.ds) + approxRowsBytes(b.rows)
+func (b *Batch) approxBytes() int64 {
+	return approxDatasetBytes(&Dataset{Vecs: b.Vecs}) + approxRowsBytes(b.Rows)
 }
 
-// Cursor is a pull-based row stream over a query result. It is not
-// safe for concurrent use; Close must be called when done (Materialize
-// and a drained Next loop close it implicitly).
+// Cursor is a pull-based stream of column batches over a query result.
+// It is not safe for concurrent use; Close must be called when done
+// (Materialize and a drained stream close it implicitly).
 type Cursor struct {
 	cols []Col
 	// items carry the projection metadata needed to rebuild a dataset
@@ -99,11 +96,13 @@ type Cursor struct {
 	// as the one batch of a stream that ends after it.
 	ds *Dataset
 	// nextBatch/stopBatch drive the stream; batch is the one being
-	// served and batchRow its next row.
-	nextBatch func() (rowBatch, bool)
+	// served, batchRow the next row Next reads out of it and row the
+	// buffer it fills.
+	nextBatch func() (Batch, bool)
 	stopBatch func()
-	batch     rowBatch
+	batch     Batch
 	batchRow  int
+	row       []value.Value
 	cancel    context.CancelFunc
 	done      bool
 	err       error
@@ -128,7 +127,7 @@ func (c *Cursor) Cols() []Col { return c.cols }
 
 // finishErr terminates the cursor with err: the governance boundary's
 // translation applies (once — c.err latches the result), the cursor
-// closes, and later Next calls keep returning the same error.
+// closes, and later calls keep returning the same error.
 func (c *Cursor) finishErr(err error) error {
 	if c.mapErr != nil {
 		err = c.mapErr(err)
@@ -138,15 +137,15 @@ func (c *Cursor) finishErr(err error) error {
 	return err
 }
 
-// Next returns the next row, or (nil, nil) after the last one. The
-// returned slice is owned by the caller. After an error, Next keeps
-// returning the same error. A panic in the producing pipeline is
-// contained here: it surfaces as a *governor.PanicError and the
-// cursor's resources (snapshot pin, workers) are released.
-func (c *Cursor) Next() (row []value.Value, err error) {
+// NextBatch is the cursor's one primitive: the next batch of the stream
+// (valid until the following call), or (nil, nil) after the last one.
+// After an error it keeps returning the same error. A panic in the
+// producing pipeline is contained here, once per batch: it surfaces as
+// a *governor.PanicError and the cursor's resources are released.
+func (c *Cursor) NextBatch() (b *Batch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			row, err = nil, c.finishErr(governor.NewPanicError(r, debug.Stack()))
+			b, err = nil, c.finishErr(governor.NewPanicError(r, debug.Stack()))
 		}
 	}()
 	if c.err != nil {
@@ -155,24 +154,35 @@ func (c *Cursor) Next() (row []value.Value, err error) {
 	if c.done {
 		return nil, nil
 	}
-	for c.batchRow >= c.batch.numRows() {
-		b, ok := c.nextBatch()
-		if !ok {
-			c.done = true
-			return nil, nil
-		}
-		if b.err != nil {
-			return nil, c.finishErr(b.err)
-		}
-		c.batch, c.batchRow = b, 0
+	nb, ok := c.nextBatch()
+	if !ok {
+		c.done = true
+		return nil, nil
 	}
-	if c.batch.ds != nil {
-		row = c.batch.ds.Row(c.batchRow)
-	} else {
-		row = c.batch.rows[c.batchRow]
+	if nb.err != nil {
+		return nil, c.finishErr(nb.err)
+	}
+	c.batch, c.batchRow = nb, 0
+	return &c.batch, nil
+}
+
+// Next returns the next row, or (nil, nil) after the last one: a
+// position in the current batch, boxed into the cursor's one row
+// buffer — the returned slice is valid until the following call.
+func (c *Cursor) Next() ([]value.Value, error) {
+	for c.batchRow >= c.batch.Len() {
+		if b, err := c.NextBatch(); b == nil {
+			return nil, err
+		}
+	}
+	if c.row == nil {
+		c.row = make([]value.Value, len(c.cols))
+	}
+	for i := range c.row {
+		c.row[i] = c.batch.Value(i, c.batchRow)
 	}
 	c.batchRow++
-	return row, nil
+	return c.row, nil
 }
 
 // Close releases the stream: the producing coroutine is stopped and
@@ -215,46 +225,32 @@ func (c *Cursor) Close() {
 // Materialize drains the cursor into a dataset with the same column
 // metadata and type promotion as the materializing execution path, so
 // the two views of one query are byte-identical.
-func (c *Cursor) Materialize() (ds *Dataset, err error) {
+func (c *Cursor) Materialize() (*Dataset, error) {
 	if c.ds != nil {
 		return c.ds, nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			ds, err = nil, c.finishErr(governor.NewPanicError(r, debug.Stack()))
-		}
-	}()
 	defer c.Close()
-	if c.err != nil {
-		return nil, c.err
-	}
 	// The unread tail of the batch being served, then every batch left.
 	// Vectorized cursors concatenate batch columns wholesale — no
 	// per-row boxing; interpreted rows collect per column for the
 	// interpreter's type promotion.
 	acc := NewDataset(c.batchCols)
 	colVals := make([][]value.Value, len(c.items))
-	b, from := c.batch, c.batchRow
-	for {
-		if b.ds != nil {
-			for i, v := range b.ds.Vecs {
-				acc.Vecs[i] = bat.Concat(acc.Vecs[i], bat.ViewRange(v, from, v.Len()))
-			}
-		} else if from < len(b.rows) {
-			for _, row := range b.rows[from:] {
+	for b, from := &c.batch, c.batchRow; b != nil; from = 0 {
+		for i, v := range b.Vecs {
+			acc.Vecs[i] = bat.Concat(acc.Vecs[i], bat.ViewRange(v, from, v.Len()))
+		}
+		if from < len(b.Rows) {
+			for _, row := range b.Rows[from:] {
 				for i, v := range row {
 					colVals[i] = append(colVals[i], v)
 				}
 			}
 		}
-		var ok bool
-		if b, ok = c.nextBatch(); !ok {
-			break
+		var err error
+		if b, err = c.NextBatch(); err != nil {
+			return nil, err
 		}
-		if b.err != nil {
-			return nil, c.finishErr(b.err)
-		}
-		from = 0
 	}
 	if c.batchCols == nil {
 		return buildProjected(c.items, colVals), nil
@@ -270,14 +266,21 @@ func (c *Cursor) Materialize() (ds *Dataset, err error) {
 // opposed to being served from a completed dataset).
 func (c *Cursor) Streaming() bool { return c.ds == nil }
 
-// datasetCursor wraps an already-materialized result.
-func datasetCursor(ds *Dataset) *Cursor {
-	return &Cursor{cols: ds.Cols, ds: ds, batch: rowBatch{ds: ds}, nextBatch: func() (rowBatch, bool) { return rowBatch{}, false }}
+// oneBatch is the stream of a result that is complete before the first
+// pull: b, then the end.
+func oneBatch(b Batch) func() (Batch, bool) {
+	more := true
+	return func() (out Batch, ok bool) {
+		out, ok, more = b, more, false
+		return out, ok
+	}
 }
 
-// DatasetCursor exposes the dataset-backed cursor to the public layer
-// (EXPLAIN results stream through it like any other query).
-func DatasetCursor(ds *Dataset) *Cursor { return datasetCursor(ds) }
+// DatasetCursor wraps an already-materialized result (the public layer
+// streams EXPLAIN results through it like any other query).
+func DatasetCursor(ds *Dataset) *Cursor {
+	return &Cursor{cols: ds.Cols, ds: ds, nextBatch: oneBatch(Batch{Vecs: ds.Vecs})}
+}
 
 // streamPlan is a compiled single-array SELECT: the resolved scan plus
 // the residual filter, and — for streamable statements — the per-row
@@ -354,11 +357,11 @@ func (e *Engine) compileStreamVec(sp *streamPlan) *streamVec {
 // vecProcessBatch runs the compiled pipeline over one input batch:
 // filter → selection vector → gather → projection kernels. max caps
 // the number of output rows (LIMIT pushdown; -1 for none).
-func (e *Engine) vecProcessBatch(sp *streamPlan, in *Dataset, max int) *Dataset {
+func (e *Engine) vecProcessBatch(sp *streamPlan, in *Dataset, max int) []bat.Vector {
 	sv := sp.vec
 	pf := sp.prof
 	n := in.NumRows()
-	out := &Dataset{Cols: sv.outCols, Vecs: make([]bat.Vector, len(sv.outCols))}
+	out := make([]bat.Vector, len(sv.items))
 	var sel []int
 	all := true
 	var t0 time.Time
@@ -421,7 +424,7 @@ func (e *Engine) vecProcessBatch(sp *streamPlan, in *Dataset, max int) *Dataset 
 		}
 	}
 	for i, p := range sv.items {
-		out.Vecs[i] = p.eval(gin, 0, m)
+		out[i] = p.eval(gin, 0, m)
 	}
 	if pf != nil {
 		pf.Project.AddNanos(time.Since(t0))
@@ -508,26 +511,20 @@ func (e *Engine) queryStreamPinned(ctx context.Context, sel *ast.Select, params 
 			release()
 		}
 	}()
-	norm := make(map[string]value.Value, len(params))
-	for k, v := range params {
-		norm[strings.ToLower(k)] = v
-	}
-	env := &baseEnv{params: norm}
-	sp, ok, err := e.compileStream(sel, env)
-	if err != nil {
-		e.metrics().statement("select", time.Since(start))
-		return nil, err
-	}
-	if !ok {
+	sp, ok, err := e.compileStream(sel, newBaseEnv(params))
+	if err == nil && !ok {
 		// The materializing fallback runs through ExecContext, which
 		// does its own statement accounting and snapshot pinning.
 		ds, err := e.ExecContext(ctx, sel, params)
 		if err != nil {
 			return nil, err
 		}
-		return datasetCursor(ds), nil
+		return DatasetCursor(ds), nil
 	}
-	cur, err := e.streamCursorFor(ctx, sp)
+	var cur *Cursor
+	if err == nil {
+		cur, err = e.streamCursorFor(ctx, sp)
+	}
 	if err != nil {
 		e.metrics().statement("select", time.Since(start))
 		return nil, err
@@ -576,13 +573,26 @@ func (sh *Shared) ReleaseAllCursorPins() {
 // over scan chunks when the plan and the chunking allow it, a serial
 // coroutine otherwise.
 func (e *Engine) streamCursorFor(ctx context.Context, sp *streamPlan) (*Cursor, error) {
-	chunks, err := e.scanChunks(&sp.scanSource)
-	if err != nil {
-		return nil, err
-	}
 	cur := &Cursor{cols: streamColumns(sp.items, sp.arr, sp.qual), items: sp.items}
 	if sp.vec != nil {
 		cur.batchCols = sp.vec.outCols
+	}
+	if allPoint(sp.eff) { // one cell, one batch: no chunk walk, no coroutine
+		in := readPoint(&sp.scanSource)
+		e.metrics().scanCells.Add(int64(in.NumRows()))
+		out, err := e.streamBatch(sp, in, sp.limit)
+		if err == nil {
+			err = chargeBudget(sp.budget, out.approxBytes())
+		}
+		if err != nil {
+			return nil, err
+		}
+		cur.nextBatch = oneBatch(out)
+		return cur, nil
+	}
+	chunks, err := e.scanChunks(&sp.scanSource)
+	if err != nil {
+		return nil, err
 	}
 	seq := e.serialStream(ctx, sp, chunks)
 	if sp.par > 1 && e.pool != nil && len(chunks) >= 2 {
@@ -597,8 +607,10 @@ func (e *Engine) streamCursorFor(ctx context.Context, sp *streamPlan) (*Cursor, 
 // slicing, dimension pushdown (what is left of WHERE becomes the
 // residual filter), the pruned scan projection and the zone-map skip
 // conditions. ok is false (with no error) when the FROM clause is
-// anything else, an expression needs engine state, or the scan is a
-// single cell read — those statements take the materializing path.
+// anything else or an expression needs engine state — those statements
+// take the materializing path. A restriction that pins every dimension
+// (allPoint(sp.eff)) is a single cell read: a cursor serves it as a
+// one-row batch, the materializing callers leave it to scanArrayPruned.
 func (e *Engine) compileScan(sel *ast.Select, env *baseEnv) (*streamPlan, bool, error) {
 	if len(sel.From) != 1 {
 		return nil, false, nil
@@ -642,16 +654,15 @@ func (e *Engine) compileScan(sel *ast.Select, env *baseEnv) (*streamPlan, bool, 
 	remaining := unconsumed(conjs, consumed)
 	sp.where = andAll(remaining)
 	sp.eff = effectiveSels(arr, sels, restrict)
-	if allPoint(sp.eff) {
-		return nil, false, nil
-	}
 	dec := e.selectDecision(sel)
 	sp.par = dec.par
 	sp.attrs = dec.scanAttrs(arr, tr.Name)
 	sp.cols = scanColsPruned(arr, sp.qual, sp.attrs)
-	// Single-source statement: unqualified identifiers bind to this
-	// array, so bare conjuncts are trusted for zone tests.
-	sp.skip = e.buildChunkSkipper(arr, sp.qual, sp.eff, remaining, true)
+	if !allPoint(sp.eff) {
+		// Single-source statement: unqualified identifiers bind to this
+		// array, so bare conjuncts are trusted for zone tests.
+		sp.skip = e.buildChunkSkipper(arr, sp.qual, sp.eff, remaining, true)
+	}
 	return sp, true, nil
 }
 
@@ -718,9 +729,9 @@ func streamColumns(items []ast.SelectItem, a *array.Array, qual string) []Col {
 // projection, emitting at most max rows (LIMIT pushdown; -1 for no
 // cap): the kernel pipeline when the plan compiled, otherwise the
 // interpreter reading rows out of the batch.
-func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (rowBatch, error) {
+func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (Batch, error) {
 	if sp.vec != nil {
-		return rowBatch{ds: e.vecProcessBatch(sp, in, max)}, nil
+		return Batch{Vecs: e.vecProcessBatch(sp, in, max)}, nil
 	}
 	var t0 time.Time
 	if sp.prof != nil {
@@ -734,7 +745,7 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (rowBatch, er
 		env.row = r
 		if sp.where != nil {
 			if ok, err := e.Ev.EvalBool(sp.where, env); err != nil {
-				return rowBatch{}, err
+				return Batch{}, err
 			} else if !ok {
 				continue
 			}
@@ -742,7 +753,7 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (rowBatch, er
 		postWhere++
 		if sp.having != nil {
 			if ok, err := e.Ev.EvalBool(sp.having, env); err != nil {
-				return rowBatch{}, err
+				return Batch{}, err
 			} else if !ok {
 				continue
 			}
@@ -751,7 +762,7 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (rowBatch, er
 		for i, it := range sp.items {
 			v, err := e.Ev.Eval(it.Expr, env)
 			if err != nil {
-				return rowBatch{}, err
+				return Batch{}, err
 			}
 			row[i] = v
 		}
@@ -781,15 +792,15 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (rowBatch, er
 			p.Limit.RowBatches.Add(1)
 		}
 	}
-	return rowBatch{rows: rows}, nil
+	return Batch{Rows: rows}, nil
 }
 
 // serialStream walks the chunks in order on the consumer's coroutine,
 // yielding each batch's output as it is produced. Only one of producer
 // and consumer runs at a time (iter.Pull), and a satisfied LIMIT stops
 // the store walk mid-chunk.
-func (e *Engine) serialStream(ctx context.Context, sp *streamPlan, chunks []array.ColumnChunk) iter.Seq[rowBatch] {
-	return func(yield func(rowBatch) bool) {
+func (e *Engine) serialStream(ctx context.Context, sp *streamPlan, chunks []array.ColumnChunk) iter.Seq[Batch] {
+	return func(yield func(Batch) bool) {
 		emitted := 0
 		for _, chunk := range chunks {
 			if sp.limit >= 0 && emitted >= sp.limit {
@@ -810,8 +821,8 @@ func (e *Engine) serialStream(ctx context.Context, sp *streamPlan, chunks []arra
 					batchErr = err
 					return false
 				}
-				emitted += out.numRows()
-				if out.numRows() > 0 && !yield(out) {
+				emitted += out.Len()
+				if out.Len() > 0 && !yield(out) {
 					gone = true
 					return false
 				}
@@ -824,7 +835,7 @@ func (e *Engine) serialStream(ctx context.Context, sp *streamPlan, chunks []arra
 				err = batchErr
 			}
 			if err != nil {
-				yield(rowBatch{err: err})
+				yield(Batch{err: err})
 				return
 			}
 		}
@@ -833,44 +844,51 @@ func (e *Engine) serialStream(ctx context.Context, sp *streamPlan, chunks []arra
 
 // parallelStream fans the chunks out over the morsel pool, each worker
 // running its chunk's batches through the pipeline, and hands the
-// consumer the chunk outputs re-ordered by chunk ordinal — chunk
-// concatenation order equals serial scan order, so the stream is
-// identical to the serial one. Per-chunk output is capped at LIMIT rows
-// (the result takes at most that many from any chunk); once enough
-// rows have surfaced across the ordered prefix the consumer returns,
-// which cancels ctx and stops the workers scheduling further chunks.
-// Workers start on the first pull. Sends select on ctx.Done(), so
-// canceling the query (or closing the cursor early) leaks no goroutine.
-func (e *Engine) parallelStream(ctx context.Context, cancel context.CancelFunc, sp *streamPlan, chunks []array.ColumnChunk) iter.Seq[rowBatch] {
+// consumer every chunk's batches — as they were produced, never
+// concatenated — re-ordered by chunk ordinal: chunk order equals serial
+// scan order, so the stream is identical to the serial one. Per-chunk
+// output is capped at LIMIT rows (the result takes at most that many
+// from any chunk); once enough rows have surfaced across the ordered
+// prefix the consumer returns, which cancels ctx and stops the workers
+// scheduling further chunks. Workers start on the first pull. Sends
+// select on ctx.Done(), so canceling the query (or closing the cursor
+// early) leaks no goroutine; the consumer hands out what arrived in
+// order, then the producer's error.
+func (e *Engine) parallelStream(ctx context.Context, cancel context.CancelFunc, sp *streamPlan, chunks []array.ColumnChunk) iter.Seq[Batch] {
 	type chunkOut struct {
 		idx int
-		out rowBatch
+		out []Batch
 	}
 	// Room for every worker to park a finished chunk while one more is
 	// in flight, so a slow consumer does not stall the pool at once.
 	ch := make(chan chunkOut, 2*e.pool.Workers())
+	var failed error // the producer's verdict, set before ch closes
 	produce := func() {
 		defer close(ch)
-		err := e.forEachChunk(ctx, sp.par, len(chunks), func(ci int) error {
-			var out rowBatch
+		failed = e.forEachChunk(ctx, sp.par, len(chunks), func(ci int) error {
+			var out []Batch
 			var batchErr error
+			var rows int
+			var bytes int64
 			err := e.scanChunk(ctx, &sp.scanSource, chunks[ci], func(in *Dataset) bool {
 				max := -1
 				if sp.limit >= 0 {
-					max = sp.limit - out.numRows()
+					max = sp.limit - rows
 				}
-				var b rowBatch
+				var b Batch
 				if b, batchErr = e.streamBatch(sp, in, max); batchErr != nil {
 					return false
 				}
-				out.add(b)
-				return sp.limit < 0 || out.numRows() < sp.limit
+				if n := b.Len(); n > 0 {
+					out, rows, bytes = append(out, b), rows+n, bytes+b.approxBytes()
+				}
+				return sp.limit < 0 || rows < sp.limit
 			})
 			if err == nil {
 				err = batchErr
 			}
 			if err == nil {
-				err = chargeBudget(sp.budget, out.approxBytes())
+				err = chargeBudget(sp.budget, bytes)
 			}
 			if err != nil {
 				return err
@@ -882,42 +900,40 @@ func (e *Engine) parallelStream(ctx context.Context, cancel context.CancelFunc, 
 				return ctx.Err()
 			}
 		})
-		if err != nil {
-			select {
-			case ch <- chunkOut{out: rowBatch{err: err}}:
-			case <-ctx.Done():
-			}
-		}
 	}
-	return func(yield func(rowBatch) bool) {
+	return func(yield func(Batch) bool) {
 		defer cancel()
 		go produce()
-		pending := make(map[int]rowBatch)
+		pending := make(map[int][]Batch)
 		next, emitted := 0, 0
+		full := func() bool { return sp.limit >= 0 && emitted >= sp.limit }
 		for c := range ch {
-			if c.out.err != nil {
-				yield(c.out)
-				return
-			}
 			pending[c.idx] = c.out
 			for {
-				out, have := pending[next]
+				outs, have := pending[next]
 				if !have {
 					break
 				}
 				delete(pending, next)
 				next++
-				if sp.limit >= 0 && emitted+out.numRows() > sp.limit {
-					out.head(sp.limit - emitted)
+				for _, out := range outs {
+					if sp.limit >= 0 && emitted+out.Len() > sp.limit {
+						out.head(sp.limit - emitted)
+					}
+					emitted += out.Len()
+					if !yield(out) || full() {
+						return
+					}
 				}
-				emitted += out.numRows()
-				if out.numRows() > 0 && !yield(out) {
-					return
-				}
-				if sp.limit >= 0 && emitted >= sp.limit {
+				if full() {
 					return
 				}
 			}
+		}
+		// The stream ended short of its last chunk: an error, or a cancel —
+		// which must surface as one, never as a result that just stops.
+		if failed != nil {
+			yield(Batch{err: failed})
 		}
 	}
 }

@@ -147,7 +147,7 @@ func (e *Engine) execTiling(sel *ast.Select, ds *Dataset, sources []*source, rem
 	if err != nil {
 		return nil, err
 	}
-	return e.finishSelect(sel, out, outer)
+	return e.finishSelectSorted(sel, out, outer, false)
 }
 
 // tileAnchors selects the anchor rows of ds — the rows WHERE keeps, for

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/server/pgwire"
+	"repro/internal/value"
 	"repro/sciql"
 )
 
@@ -706,4 +707,58 @@ func postQuery(t *testing.T, srv *server.Server, body string, wantStatus int) st
 		t.Fatalf("POST /query = %d (%s), want %d", r.StatusCode, sb.String(), wantStatus)
 	}
 	return sb.String()
+}
+
+// TestNonFiniteFloats is the regression test for results holding NaN or
+// ±Inf. POST /query used to answer 200 with an empty body (json refuses
+// the values and the encode error was dropped); it now sends them as
+// the strings "NaN", "Infinity" and "-Infinity", the convention
+// integers beyond ±2^53 already follow. pgwire used to send Go's
+// "+Inf"/"-Inf", which libpq-family clients reject for float8; it now
+// sends PostgreSQL's spelling.
+func TestNonFiniteFloats(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	c := dial(t, srv)
+	defer c.Close()
+	for q, want := range map[string]string{
+		`SELECT SQRT(v - 100) FROM matrix WHERE x = 1 AND y = 1`:       "NaN",
+		`SELECT EXP(v * 1000) FROM matrix WHERE x = 1 AND y = 1`:       "Infinity",
+		`SELECT 0 - EXP(v * 1000) FROM matrix WHERE x = 1 AND y = 1`:   "-Infinity",
+		`SELECT SQRT(v - 100), EXP(v * 1000) FROM matrix WHERE v >= 5`: "NaN", // a streamed batch
+	} {
+		res, err := c.SimpleQuery(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := string(res[0].Rows[0][0]); got != want {
+			t.Fatalf("pgwire %s: field = %q, want %q", q, got, want)
+		}
+		req, _ := json.Marshal(map[string]string{"sql": q})
+		var resp struct {
+			Rows     [][]any `json:"rows"`
+			RowCount int     `json:"rowCount"`
+		}
+		body := postQuery(t, srv, string(req), http.StatusOK)
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatalf("http %s: body %q: %v", q, body, err)
+		}
+		if resp.RowCount == 0 || len(resp.Rows) != resp.RowCount || resp.Rows[0][0] != want {
+			t.Fatalf("http %s: body = %s, want %q first", q, body, want)
+		}
+	}
+}
+
+// TestHTTPEncodeFailure: a cell encoding/json cannot carry (an opaque
+// handle) is a 500 with a SQLSTATE body, never a 200 with half a
+// document — the body is complete before the status line is chosen.
+func TestHTTPEncodeFailure(t *testing.T) {
+	srv, db := newTestServer(t, nil)
+	db.RegisterExternal("opaque", func([]sciql.Value) (sciql.Value, error) {
+		return sciql.Value{Typ: value.Array, A: make(chan int)}, nil
+	})
+	db.MustExec(`CREATE FUNCTION opaque (v FLOAT) RETURNS FLOAT EXTERNAL NAME 'opaque'`)
+	body := postQuery(t, srv, `{"sql": "SELECT opaque(v) FROM matrix WHERE x = 0"}`, http.StatusInternalServerError)
+	if !strings.Contains(body, sciql.SQLStateInternalError) {
+		t.Fatalf("encode failure body = %s", body)
+	}
 }

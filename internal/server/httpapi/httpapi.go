@@ -11,11 +11,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
-	"repro/internal/exec"
-	"repro/internal/sql/parser"
 	"repro/internal/telemetry"
 	"repro/internal/value"
 	"repro/sciql"
@@ -138,58 +135,52 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	stmts, err := parser.Parse(req.SQL)
+	// One compile (a statement-cache lookup, a parse on a miss) both
+	// classifies the text and runs it.
+	st, err := h.DB.Prepare(req.SQL)
 	if err != nil {
 		h.fail(w, http.StatusBadRequest, sciql.SQLStateSyntaxError, err)
 		return
 	}
 	ctx := r.Context()
-	var resp QueryResponse
-	if len(stmts) == 1 {
-		switch exec.StatementKind(stmts[0]) {
-		case "select", "explain":
-			rows, err := h.DB.QueryContext(ctx, req.SQL, args...)
-			if err != nil {
-				h.failErr(w, err)
-				return
-			}
-			defer rows.Close()
-			resp.Columns = rows.Columns()
-			resp.Types = rows.ColumnTypeNames()
-			resp.Rows = [][]any{}
-			for rows.Next() {
-				vals := rows.Values()
-				out := make([]any, len(vals))
-				for i, v := range vals {
-					out[i] = jsonValue(v)
-				}
-				resp.Rows = append(resp.Rows, out)
-			}
-			if err := rows.Err(); err != nil {
-				h.failErr(w, err)
-				return
-			}
-			resp.RowCount = int64(len(resp.Rows))
-			h.met().Rows.Add(resp.RowCount)
-			h.ok(w, &resp)
+	switch st.Kind() {
+	case "select", "explain":
+		rows, err := st.QueryContext(ctx, args...)
+		if err != nil {
+			h.failErr(w, err)
 			return
 		}
+		defer rows.Close()
+		body, n, err := encodeResult(ctx, rows)
+		if errors.As(err, new(encodeError)) {
+			h.fail(w, http.StatusInternalServerError, sciql.SQLStateInternalError, err)
+			return
+		}
+		if err != nil {
+			h.failErr(w, err)
+			return
+		}
+		h.met().Rows.Add(n)
+		h.ok(w, body)
+		return
 	}
-	res, err := h.DB.ExecContext(ctx, req.SQL, args...)
+	res, err := st.ExecContext(ctx, args...)
 	if err != nil {
 		h.failErr(w, err)
 		return
 	}
+	n := 0
 	if res != nil {
-		resp.RowCount = int64(res.NumRows())
+		n = res.NumRows()
 	}
-	h.ok(w, &resp)
+	h.ok(w, fmt.Appendf(nil, "{\"rowCount\":%d}\n", n))
 }
 
-func (h *Handler) ok(w http.ResponseWriter, resp *QueryResponse) {
+// ok sends a complete success body; nothing has reached the client
+// before it, so every failure up to here could still pick its status.
+func (h *Handler) ok(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.Encode(resp)
+	w.Write(body)
 }
 
 // failErr maps an engine error onto its SQLSTATE and an HTTP status.
@@ -247,18 +238,4 @@ func bindArgs(in map[string]any) ([]sciql.Arg, error) {
 		}
 	}
 	return args, nil
-}
-
-// jsonValue maps an engine value onto its JSON representation; large
-// integers beyond float64 precision travel as strings to survive the
-// round trip.
-func jsonValue(v sciql.Value) any {
-	g := sciql.GoValue(v)
-	if i, ok := g.(int64); ok {
-		const maxExact = int64(1) << 53
-		if i > maxExact || i < -maxExact {
-			return strconv.FormatInt(i, 10)
-		}
-	}
-	return g
 }

@@ -13,9 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exec"
-	"repro/internal/sql/ast"
-	"repro/internal/sql/parser"
 	"repro/internal/telemetry"
 	"repro/sciql"
 )
@@ -231,7 +228,7 @@ func randomSecret() int32 {
 type prepared struct {
 	name      string
 	sql       string
-	kind      string // exec.StatementKind of the single statement
+	kind      string // stmt.Kind()
 	stmt      *sciql.Stmt
 	paramOIDs []uint32
 }
@@ -478,42 +475,43 @@ func (c *serverConn) handleSimpleQuery(sql string) {
 }
 
 // runSimpleStatement executes one statement of a simple query; false
-// aborts the rest of the batch.
+// aborts the rest of the batch. The text is compiled once — Prepare is
+// one statement-cache lookup, and a parse only on a miss — and the
+// compiled statement both classifies it and runs it.
 func (c *serverConn) runSimpleStatement(sql string) bool {
 	c.b.met().Queries.Inc()
-	stmts, err := parser.Parse(sql)
+	st, err := c.sess.Prepare(sql)
 	if err != nil {
 		c.sendStmtError(sciql.SQLStateSyntaxError, err)
 		return false
 	}
-	if len(stmts) == 0 {
+	if st.NumStatements() == 0 {
 		c.wr.WriteEmptyQuery()
 		return true
 	}
-	stmt := stmts[0]
-	kind := exec.StatementKind(stmt)
+	verb := st.TxVerb()
 
 	// Failed-transaction gate (PostgreSQL semantics): after an error
 	// inside a transaction block, only COMMIT/ROLLBACK get through.
-	if tx, ok := stmt.(*ast.TxStmt); c.failedTx && (!ok || tx.Kind == ast.TxBegin) {
+	if c.failedTx && (verb == "" || verb == "BEGIN") {
 		c.sendStmtError(sciql.SQLStateInFailedTransaction,
 			errors.New("current transaction is aborted, commands ignored until end of transaction block"))
 		return false
 	}
-	if tx, ok := stmt.(*ast.TxStmt); ok {
-		return c.runTxStatement(sql, tx)
+	if verb != "" {
+		return c.runTxStatement(st, verb)
 	}
 
 	ctx, release := c.stmtContext()
 	defer release()
-	switch kind {
+	switch st.Kind() {
 	case "select", "explain":
-		rows, err := c.sess.QueryContext(ctx, sql)
+		rows, err := st.QueryContext(ctx)
 		if err != nil {
 			c.sendStmtError(sciql.SQLState(err), err)
 			return false
 		}
-		n, err := c.sendRows(rows, 0, true)
+		n, err := c.sendRows(ctx, rows, 0, true)
 		rows.Close()
 		if err != nil {
 			c.sendStmtError(sciql.SQLState(err), err)
@@ -521,7 +519,7 @@ func (c *serverConn) runSimpleStatement(sql string) bool {
 		}
 		c.wr.WriteCommandComplete("SELECT " + strconv.FormatInt(n, 10))
 	default:
-		if _, err := c.sess.ExecContext(ctx, sql); err != nil {
+		if _, err := st.ExecContext(ctx); err != nil {
 			c.sendStmtError(sciql.SQLState(err), err)
 			return false
 		}
@@ -533,56 +531,62 @@ func (c *serverConn) runSimpleStatement(sql string) bool {
 // runTxStatement handles BEGIN/COMMIT/ROLLBACK with the failed-
 // transaction bookkeeping: COMMIT of a failed transaction rolls back
 // (and says so), matching PostgreSQL.
-func (c *serverConn) runTxStatement(sql string, tx *ast.TxStmt) bool {
+func (c *serverConn) runTxStatement(st *sciql.Stmt, verb string) bool {
 	ctx, release := c.stmtContext()
 	defer release()
-	run := sql
-	tag := string(tx.Kind)
-	if tx.Kind == ast.TxCommit && c.failedTx {
-		run, tag = "ROLLBACK", "ROLLBACK"
+	var err error
+	if verb == "COMMIT" && c.failedTx {
+		verb = "ROLLBACK"
+		_, err = c.sess.ExecContext(ctx, verb)
+	} else {
+		_, err = st.ExecContext(ctx)
 	}
-	if _, err := c.sess.ExecContext(ctx, run); err != nil {
+	if err != nil {
 		c.failedTx = false // COMMIT/ROLLBACK end the transaction either way
 		c.sendStmtError(sciql.SQLState(err), err)
 		return false
 	}
-	if tx.Kind != ast.TxBegin {
+	if verb != "BEGIN" {
 		c.failedTx = false
 	}
-	c.wr.WriteCommandComplete(tag)
+	c.wr.WriteCommandComplete(verb)
 	return true
 }
 
+// sendBatchRows caps how many rows sendRows encodes between two polls
+// of the statement context and two flushes of the row counter: a
+// result that is one large batch (a materialized dataset) still stops
+// within that many rows of a cancel.
+const sendBatchRows = 4096
+
 // sendRows streams cursor rows as DataRow messages: the row
 // description first (when withDesc), then up to maxRows rows (0 = no
-// limit). Returns rows sent and the cursor/write error, if any.
-// Per-row telemetry accumulates in a local and flushes once per
-// result (the hotloopflush discipline).
-func (c *serverConn) sendRows(rows *sciql.Rows, maxRows int64, withDesc bool) (int64, error) {
+// limit), encoded batch-wise straight from the cursor's columns.
+// Returns rows sent and the cursor/write error, if any. ctx is the
+// statement's (or portal's) context, polled once per batch; telemetry
+// flushes once per batch too (the hotloopflush discipline).
+func (c *serverConn) sendRows(ctx context.Context, rows *sciql.Rows, maxRows int64, withDesc bool) (int64, error) {
 	if withDesc {
 		if err := c.wr.WriteRowDescription(rowColumns(rows)); err != nil {
 			return 0, err
 		}
 	}
 	var sent int64
-	var werr error
-	for rows.Next() {
-		vals := rows.Values()
-		fields := make([][]byte, len(vals))
-		for i, v := range vals {
-			fields[i] = EncodeText(v)
+	for (maxRows <= 0 || sent < maxRows) && rows.Next() {
+		if err := ctx.Err(); err != nil {
+			return sent, err
 		}
-		if werr = c.wr.WriteDataRow(fields); werr != nil {
-			break
+		want := int64(sendBatchRows)
+		if maxRows > 0 {
+			want = min(want, maxRows-sent)
 		}
-		sent++
-		if maxRows > 0 && sent >= maxRows {
-			break
+		b, lo, hi := rows.Batch(int(want))
+		err := c.wr.WriteDataRows(b, lo, hi)
+		sent += int64(hi - lo)
+		c.b.met().RowsSent.Add(int64(hi - lo))
+		if err != nil {
+			return sent, err
 		}
-	}
-	c.b.met().RowsSent.Add(sent)
-	if werr != nil {
-		return sent, werr
 	}
 	return sent, rows.Err()
 }
@@ -636,26 +640,16 @@ func (c *serverConn) handleParse(data []byte) {
 			return
 		}
 	}
-	stmts, err := parser.Parse(m.SQL)
+	st, err := c.sess.Prepare(m.SQL)
 	if err != nil {
 		c.extFail(sciql.SQLStateSyntaxError, err)
 		return
 	}
-	if len(stmts) > 1 {
+	if st.NumStatements() > 1 {
 		c.extFail(sciql.SQLStateSyntaxError, errors.New("cannot insert multiple commands into a prepared statement"))
 		return
 	}
-	p := &prepared{name: m.Name, sql: m.SQL, paramOIDs: m.ParamOID}
-	if len(stmts) == 1 {
-		p.kind = exec.StatementKind(stmts[0])
-		st, err := c.sess.Prepare(m.SQL)
-		if err != nil {
-			c.extFail(sciql.SQLState(err), err)
-			return
-		}
-		p.stmt = st
-	}
-	c.prepared[m.Name] = p
+	c.prepared[m.Name] = &prepared{name: m.Name, sql: m.SQL, kind: st.Kind(), stmt: st, paramOIDs: m.ParamOID}
 	c.wr.WriteParseComplete()
 }
 
@@ -815,7 +809,7 @@ func (c *serverConn) handleExecute(data []byte) {
 	// Execute streams; the context itself survives a suspend.
 	c.setCancel(p.cancel)
 	defer c.setCancel(nil)
-	n, err := c.sendRows(p.rows, int64(m.MaxRows), false)
+	n, err := c.sendRows(p.ctx, p.rows, int64(m.MaxRows), false)
 	if err != nil {
 		p.close()
 		p.done = true

@@ -90,6 +90,9 @@ type Reader struct {
 	// bufCap tracks the largest payload buffer readN ever grew, so
 	// tests can pin the bounded-allocation guarantee.
 	bufCap int
+	// hdr is ReadMessage's header scratch; a local would escape through
+	// io.ReadFull and cost one allocation per message.
+	hdr [5]byte
 }
 
 // BufCap reports the largest payload buffer this Reader has grown.
@@ -215,13 +218,13 @@ type Msg struct {
 
 // ReadMessage decodes the next typed frame.
 func (r *Reader) ReadMessage() (Msg, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		return Msg{}, err
 	}
-	frameLen := int(binary.BigEndian.Uint32(hdr[1:]))
+	typ, frameLen := hdr[0], int(binary.BigEndian.Uint32(hdr[1:]))
 	if frameLen < 4 {
-		return Msg{}, fmt.Errorf("pgwire: message %q length %d too short", hdr[0], frameLen)
+		return Msg{}, fmt.Errorf("pgwire: message %q length %d too short", typ, frameLen)
 	}
 	if frameLen-4 > r.maxLen {
 		return Msg{}, ErrFrameTooLarge
@@ -230,7 +233,7 @@ func (r *Reader) ReadMessage() (Msg, error) {
 	if err != nil {
 		return Msg{}, err
 	}
-	return Msg{Type: hdr[0], Data: body}, nil
+	return Msg{Type: typ, Data: body}, nil
 }
 
 // --- payload parsing --------------------------------------------------------
@@ -624,21 +627,57 @@ func ParseParameterStatus(data []byte) (key, val string, err error) {
 
 // --- message writing --------------------------------------------------------
 
-// Writer encodes protocol frames onto a stream. Writes buffer until
-// Flush, matching the protocol's pipelining model (the backend flushes
-// at ReadyForQuery, the frontend at Sync).
+// Writer encodes protocol frames onto a stream. A frame is built in
+// place — header first, its length word patched when the body is
+// complete — at the end of the output buffer, so it costs no copy and
+// reaches the stream whole. Frames accumulate until Flush, matching the
+// protocol's pipelining model (the backend flushes at ReadyForQuery,
+// the frontend at Sync); a result larger than flushAt bytes goes out in
+// pieces of about that size.
 type Writer struct {
-	w   *bufio.Writer
-	buf []byte // current message body under construction
+	w   io.Writer
+	buf []byte // complete frames not yet written, then the one under construction
+	// lenAt is the offset of the length word of the frame under
+	// construction.
+	lenAt int
+	err   error // first write error; sticky, like bufio's
 }
 
+// Output buffer sizing: end hands the buffer to the stream once it
+// holds flushAt bytes, and Flush lets go of a buffer that one oversized
+// frame grew past keepCap.
+const (
+	flushAt = 16 << 10
+	keepCap = 64 << 10
+)
+
 // NewWriter wraps w in a frame encoder.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Flush writes buffered frames to the underlying stream.
-func (w *Writer) Flush() error { return w.w.Flush() }
+func (w *Writer) Flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+	}
+	if cap(w.buf) > keepCap {
+		w.buf = nil
+	}
+	w.buf = w.buf[:0]
+	return w.err
+}
 
-func (w *Writer) begin() { w.buf = w.buf[:0] }
+// begin opens a typed frame: the type byte and a length word to patch.
+func (w *Writer) begin(typ byte) {
+	w.buf = append(w.buf, typ, 0, 0, 0, 0)
+	w.lenAt = len(w.buf) - 4
+}
+
+// beginUntyped opens a frame without a type byte (startup-phase
+// messages only).
+func (w *Writer) beginUntyped() {
+	w.buf = append(w.buf, 0, 0, 0, 0)
+	w.lenAt = len(w.buf) - 4
+}
 
 func (w *Writer) addByte(b byte)   { w.buf = append(w.buf, b) }
 func (w *Writer) addInt16(v int16) { w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(v)) }
@@ -649,63 +688,61 @@ func (w *Writer) addCString(s string) {
 }
 func (w *Writer) addBytes(b []byte) { w.buf = append(w.buf, b...) }
 
-// end frames the body under construction as one typed message.
-func (w *Writer) end(typ byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(w.buf)+4))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
+// end closes the frame under construction: its length word (which
+// counts itself) is patched in place.
+func (w *Writer) end() error {
+	binary.BigEndian.PutUint32(w.buf[w.lenAt:], uint32(len(w.buf)-w.lenAt))
+	if len(w.buf) >= flushAt {
+		return w.Flush()
 	}
-	_, err := w.w.Write(w.buf)
-	return err
+	return w.err
 }
 
 // WriteRaw emits one typed message with the given body.
 func (w *Writer) WriteRaw(typ byte, body []byte) error {
-	w.begin()
+	w.begin(typ)
 	w.addBytes(body)
-	return w.end(typ)
+	return w.end()
 }
 
 // --- backend messages -------------------------------------------------------
 
 // WriteAuthOK emits AuthenticationOk.
 func (w *Writer) WriteAuthOK() error {
-	w.begin()
+	w.begin(MsgAuth)
 	w.addInt32(0)
-	return w.end(MsgAuth)
+	return w.end()
 }
 
 // WriteAuthCleartext emits AuthenticationCleartextPassword.
 func (w *Writer) WriteAuthCleartext() error {
-	w.begin()
+	w.begin(MsgAuth)
 	w.addInt32(3)
-	return w.end(MsgAuth)
+	return w.end()
 }
 
 // WriteParameterStatus emits one ParameterStatus pair.
 func (w *Writer) WriteParameterStatus(key, val string) error {
-	w.begin()
+	w.begin(MsgParameterStatus)
 	w.addCString(key)
 	w.addCString(val)
-	return w.end(MsgParameterStatus)
+	return w.end()
 }
 
 // WriteBackendKeyData emits the cancel key of this connection.
 func (w *Writer) WriteBackendKeyData(pid, secret int32) error {
-	w.begin()
+	w.begin(MsgBackendKeyData)
 	w.addInt32(pid)
 	w.addInt32(secret)
-	return w.end(MsgBackendKeyData)
+	return w.end()
 }
 
 // WriteReady emits ReadyForQuery with the transaction status: 'I'
 // idle, 'T' in transaction, 'E' in failed transaction.
 func (w *Writer) WriteReady(status byte) error {
-	w.begin()
+	w.begin(MsgReadyForQuery)
 	w.addByte(status)
-	if err := w.end(MsgReadyForQuery); err != nil {
+	if err := w.end(); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -719,7 +756,7 @@ type Column struct {
 
 // WriteRowDescription emits the result shape of a query.
 func (w *Writer) WriteRowDescription(cols []Column) error {
-	w.begin()
+	w.begin(MsgRowDescription)
 	w.addInt16(int16(len(cols)))
 	for _, c := range cols {
 		w.addCString(c.Name)
@@ -730,12 +767,12 @@ func (w *Writer) WriteRowDescription(cols []Column) error {
 		w.addInt32(-1) // type modifier
 		w.addInt16(0)  // format: text
 	}
-	return w.end(MsgRowDescription)
+	return w.end()
 }
 
 // WriteDataRow emits one row; nil fields are NULL.
 func (w *Writer) WriteDataRow(fields [][]byte) error {
-	w.begin()
+	w.begin(MsgDataRow)
 	w.addInt16(int16(len(fields)))
 	for _, f := range fields {
 		if f == nil {
@@ -745,19 +782,19 @@ func (w *Writer) WriteDataRow(fields [][]byte) error {
 		w.addInt32(int32(len(f)))
 		w.addBytes(f)
 	}
-	return w.end(MsgDataRow)
+	return w.end()
 }
 
 // WriteCommandComplete emits the command tag of a finished statement.
 func (w *Writer) WriteCommandComplete(tag string) error {
-	w.begin()
+	w.begin(MsgCommandComplete)
 	w.addCString(tag)
-	return w.end(MsgCommandComplete)
+	return w.end()
 }
 
 // WriteError emits an ErrorResponse with severity ERROR.
 func (w *Writer) WriteError(code, message string) error {
-	w.begin()
+	w.begin(MsgErrorResponse)
 	w.addByte('S')
 	w.addCString("ERROR")
 	w.addByte('V')
@@ -767,99 +804,87 @@ func (w *Writer) WriteError(code, message string) error {
 	w.addByte('M')
 	w.addCString(message)
 	w.addByte(0)
-	return w.end(MsgErrorResponse)
+	return w.end()
 }
 
 // WriteParseComplete emits ParseComplete.
 func (w *Writer) WriteParseComplete() error {
-	w.begin()
-	return w.end(MsgParseComplete)
+	w.begin(MsgParseComplete)
+	return w.end()
 }
 
 // WriteBindComplete emits BindComplete.
 func (w *Writer) WriteBindComplete() error {
-	w.begin()
-	return w.end(MsgBindComplete)
+	w.begin(MsgBindComplete)
+	return w.end()
 }
 
 // WriteCloseComplete emits CloseComplete.
 func (w *Writer) WriteCloseComplete() error {
-	w.begin()
-	return w.end(MsgCloseComplete)
+	w.begin(MsgCloseComplete)
+	return w.end()
 }
 
 // WriteNoData emits NoData (Describe of a rowless statement).
 func (w *Writer) WriteNoData() error {
-	w.begin()
-	return w.end(MsgNoData)
+	w.begin(MsgNoData)
+	return w.end()
 }
 
 // WriteParamDescription emits the declared parameter types of a
 // prepared statement.
 func (w *Writer) WriteParamDescription(oids []uint32) error {
-	w.begin()
+	w.begin(MsgParamDescription)
 	w.addInt16(int16(len(oids)))
 	for _, oid := range oids {
 		w.addInt32(int32(oid))
 	}
-	return w.end(MsgParamDescription)
+	return w.end()
 }
 
 // WriteEmptyQuery emits EmptyQueryResponse.
 func (w *Writer) WriteEmptyQuery() error {
-	w.begin()
-	return w.end(MsgEmptyQuery)
+	w.begin(MsgEmptyQuery)
+	return w.end()
 }
 
 // WritePortalSuspended emits PortalSuspended (row-limited Execute).
 func (w *Writer) WritePortalSuspended() error {
-	w.begin()
-	return w.end(MsgPortalSuspended)
+	w.begin(MsgPortalSuspended)
+	return w.end()
 }
 
 // --- frontend messages ------------------------------------------------------
 
 // WriteStartup emits a protocol 3.0 StartupMessage (untyped frame).
 func (w *Writer) WriteStartup(params map[string]string) error {
-	w.begin()
+	w.beginUntyped()
 	w.addInt32(ProtocolVersion)
 	for k, v := range params {
 		w.addCString(k)
 		w.addCString(v)
 	}
 	w.addByte(0)
-	return w.endUntyped()
+	return w.end()
 }
 
 // WriteCancelRequest emits a CancelRequest (untyped frame).
 func (w *Writer) WriteCancelRequest(pid, secret int32) error {
-	w.begin()
+	w.beginUntyped()
 	w.addInt32(cancelRequestCode)
 	w.addInt32(pid)
 	w.addInt32(secret)
-	if err := w.endUntyped(); err != nil {
+	if err := w.end(); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-// endUntyped frames the body under construction without a type byte
-// (startup-phase messages only).
-func (w *Writer) endUntyped() error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(w.buf)+4))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(w.buf)
-	return err
-}
-
 // WriteQuery emits a simple-protocol Query.
 func (w *Writer) WriteQuery(sql string) error {
-	w.begin()
+	w.begin(MsgQuery)
 	w.addCString(sql)
-	if err := w.end(MsgQuery); err != nil {
+	if err := w.end(); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -867,20 +892,20 @@ func (w *Writer) WriteQuery(sql string) error {
 
 // WriteParse emits an extended-protocol Parse.
 func (w *Writer) WriteParse(name, sql string, paramOIDs []uint32) error {
-	w.begin()
+	w.begin(MsgParse)
 	w.addCString(name)
 	w.addCString(sql)
 	w.addInt16(int16(len(paramOIDs)))
 	for _, oid := range paramOIDs {
 		w.addInt32(int32(oid))
 	}
-	return w.end(MsgParse)
+	return w.end()
 }
 
 // WriteBind emits an extended-protocol Bind with text-format
 // parameters and results; nil params are NULL.
 func (w *Writer) WriteBind(portal, statement string, params [][]byte) error {
-	w.begin()
+	w.begin(MsgBind)
 	w.addCString(portal)
 	w.addCString(statement)
 	w.addInt16(0) // all parameters in text format
@@ -894,37 +919,37 @@ func (w *Writer) WriteBind(portal, statement string, params [][]byte) error {
 		w.addBytes(p)
 	}
 	w.addInt16(0) // all results in text format
-	return w.end(MsgBind)
+	return w.end()
 }
 
 // WriteDescribe emits Describe for a statement ('S') or portal ('P').
 func (w *Writer) WriteDescribe(kind byte, name string) error {
-	w.begin()
+	w.begin(MsgDescribe)
 	w.addByte(kind)
 	w.addCString(name)
-	return w.end(MsgDescribe)
+	return w.end()
 }
 
 // WriteExecute emits Execute with a row limit (0 = unlimited).
 func (w *Writer) WriteExecute(portal string, maxRows int32) error {
-	w.begin()
+	w.begin(MsgExecute)
 	w.addCString(portal)
 	w.addInt32(maxRows)
-	return w.end(MsgExecute)
+	return w.end()
 }
 
 // WriteClose emits Close for a statement ('S') or portal ('P').
 func (w *Writer) WriteClose(kind byte, name string) error {
-	w.begin()
+	w.begin(MsgClose)
 	w.addByte(kind)
 	w.addCString(name)
-	return w.end(MsgClose)
+	return w.end()
 }
 
 // WriteSync emits Sync and flushes.
 func (w *Writer) WriteSync() error {
-	w.begin()
-	if err := w.end(MsgSync); err != nil {
+	w.begin(MsgSync)
+	if err := w.end(); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -932,9 +957,9 @@ func (w *Writer) WriteSync() error {
 
 // WritePassword emits a PasswordMessage and flushes.
 func (w *Writer) WritePassword(pw string) error {
-	w.begin()
+	w.begin(MsgPassword)
 	w.addCString(pw)
-	if err := w.end(MsgPassword); err != nil {
+	if err := w.end(); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -942,8 +967,8 @@ func (w *Writer) WritePassword(pw string) error {
 
 // WriteTerminate emits Terminate and flushes.
 func (w *Writer) WriteTerminate() error {
-	w.begin()
-	if err := w.end(MsgTerminate); err != nil {
+	w.begin(MsgTerminate)
+	if err := w.end(); err != nil {
 		return err
 	}
 	return w.Flush()

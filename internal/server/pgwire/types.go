@@ -1,8 +1,10 @@
 package pgwire
 
 import (
+	"math"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/value"
 )
@@ -40,21 +42,56 @@ func TypeOID(t value.Type) uint32 {
 }
 
 // EncodeText renders one engine value in the wire text format; nil
-// means NULL (sent as a -1 field length). Booleans use the PostgreSQL
-// "t"/"f" spelling; every other type reuses the engine's canonical
-// rendering, so a value seen through psql matches the in-process
-// result printer byte for byte.
+// means NULL (sent as a -1 field length).
 func EncodeText(v value.Value) []byte {
 	if v.Null {
 		return nil
 	}
-	if v.Typ == value.Bool {
-		if v.B {
-			return []byte("t")
-		}
-		return []byte("f")
+	return AppendText(make([]byte, 0, 24), v)
+}
+
+// AppendText appends the wire text format of a non-NULL value to dst.
+// Booleans use the PostgreSQL "t"/"f" spelling and non-finite floats
+// its "Infinity"/"-Infinity"/"NaN" (libpq-family clients reject Go's
+// "+Inf"); every other value reads as the engine's canonical rendering,
+// so what psql shows matches the in-process result printer byte for
+// byte.
+func AppendText(dst []byte, v value.Value) []byte {
+	switch v.Typ {
+	case value.Bool:
+		return appendBool(dst, v.B)
+	case value.Int:
+		return strconv.AppendInt(dst, v.I, 10)
+	case value.Float:
+		return appendFloat8(dst, v.F)
+	case value.String:
+		return append(dst, v.S...)
+	case value.Timestamp:
+		return appendTimestamp(dst, v.I)
 	}
-	return []byte(v.String())
+	return append(dst, v.String()...)
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 't')
+	}
+	return append(dst, 'f')
+}
+
+func appendFloat8(dst []byte, f float64) []byte {
+	switch {
+	case math.IsInf(f, 1):
+		return append(dst, "Infinity"...)
+	case math.IsInf(f, -1):
+		return append(dst, "-Infinity"...)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendTimestamp formats Unix microseconds the way value.String does.
+func appendTimestamp(dst []byte, usec int64) []byte {
+	return time.UnixMicro(usec).UTC().AppendFormat(dst, "2006-01-02 15:04:05.000000")
 }
 
 // DecodeParam converts one text-format parameter into an engine value

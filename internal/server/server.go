@@ -125,7 +125,11 @@ func New(db *sciql.DB, cfg Config) *Server {
 	// Engine trace events become structured request logs: one line
 	// per statement close, with duration, rows and error class.
 	db.SetTraceHook(func(ev sciql.TraceEvent) {
-		if ev.Phase != sciql.TraceClose {
+		level := slog.LevelInfo
+		if ev.Err != nil {
+			level = slog.LevelWarn
+		}
+		if ev.Phase != sciql.TraceClose || !log.Enabled(context.Background(), level) {
 			return
 		}
 		attrs := []any{

@@ -273,10 +273,11 @@ func ordinalValues(vals []stddriver.Value) []stddriver.NamedValue {
 }
 
 // rows streams straight from the engine cursor: each driver Next call
-// pulls one row from the sciql.Rows, which reads the catalog snapshot
-// pinned at query start — no pre-buffering, no lock held while the
-// caller iterates, and the first row is available before a long scan
-// finishes.
+// reads one row out of the sciql.Rows' current column batch — typed
+// slots become int64/float64/string/bool/time.Time without passing
+// through an engine Value — against the catalog snapshot pinned at
+// query start: no pre-buffering, no lock held while the caller
+// iterates, and the first row is available before a long scan finishes.
 type rows struct {
 	r     *sciql.Rows
 	cols  []string
@@ -303,8 +304,9 @@ func (r *rows) Next(dest []stddriver.Value) error {
 		}
 		return io.EOF
 	}
-	for i, v := range r.r.Values() {
-		dest[i] = driverValue(v)
+	b, row, _ := r.r.Batch(1)
+	for i := range dest {
+		dest[i] = driverValue(sciql.GoCell(b, i, row))
 	}
 	return nil
 }
@@ -341,9 +343,8 @@ func (r *rows) ColumnTypeScanType(index int) reflect.Type {
 	}
 }
 
-// driverValue maps an engine value onto driver.Value's allowed set.
-func driverValue(v sciql.Value) stddriver.Value {
-	g := sciql.GoValue(v)
+// driverValue maps a cell's Go value onto driver.Value's allowed set.
+func driverValue(g any) stddriver.Value {
 	switch g.(type) {
 	case nil, int64, float64, bool, []byte, string, time.Time:
 		return g

@@ -350,3 +350,71 @@ func TestRawBeginDoesNotLeakTx(t *testing.T) {
 		t.Fatalf("BeginTx(ReadOnly) error = %v, want refusal", err)
 	}
 }
+
+// TestScanEveryTypeWithNulls reads every column type — NULLs included —
+// through database/sql: the driver hands out typed slots of the
+// cursor's column batch (int64, float64, string, bool, time.Time, nil),
+// as a streamed scan and as a materialized result.
+func TestScanEveryTypeWithNulls(t *testing.T) {
+	db, err := sql.Open("sciql", "alltypes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE ARRAY at (k INTEGER DIMENSION[3], i INTEGER, f FLOAT, s VARCHAR, b BOOLEAN, ts TIMESTAMP)`)
+	mustExec(t, db, `UPDATE at SET i = k * 10, f = k + 0.5, s = 'row', b = true, ts = TIMESTAMP '2011-03-21 10:00:00' WHERE k < 2`)
+	mustExec(t, db, `UPDATE at SET i = 7 WHERE k = 2`) // live, every other attribute NULL
+	when := time.Date(2011, 3, 21, 10, 0, 0, 0, time.UTC)
+	for _, q := range []string{
+		`SELECT k, i, f, s, b, ts FROM at`,            // streamed column batches
+		`SELECT k, i, f, s, b, ts FROM at ORDER BY k`, // materialized dataset
+	} {
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(0); rows.Next(); k++ {
+			var (
+				gotK int64
+				i    sql.NullInt64
+				f    sql.NullFloat64
+				s    sql.NullString
+				b    sql.NullBool
+				ts   sql.NullTime
+			)
+			if err := rows.Scan(&gotK, &i, &f, &s, &b, &ts); err != nil {
+				t.Fatalf("%s: row %d: %v", q, k, err)
+			}
+			full := k < 2
+			if gotK != k || !i.Valid || f.Valid != full || s.Valid != full || b.Valid != full || ts.Valid != full {
+				t.Fatalf("%s: row %d: validity k=%d i=%v f=%v s=%v b=%v ts=%v", q, k, gotK, i, f, s, b, ts)
+			}
+			if full && (i.Int64 != k*10 || f.Float64 != float64(k)+0.5 || s.String != "row" || !b.Bool || !ts.Time.Equal(when)) {
+				t.Fatalf("%s: row %d: values i=%v f=%v s=%v b=%v ts=%v", q, k, i, f, s, b, ts)
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+	}
+	// Typed Go destinations straight from the slots, and raw interfaces.
+	var i int64
+	var f float64
+	var s string
+	var b bool
+	var ts time.Time
+	if err := db.QueryRow(`SELECT i, f, s, b, ts FROM at WHERE k = 1`).Scan(&i, &f, &s, &b, &ts); err != nil {
+		t.Fatal(err)
+	}
+	if i != 10 || f != 1.5 || s != "row" || !b || !ts.Equal(when) {
+		t.Fatalf("typed scan: %v %v %q %v %v", i, f, s, b, ts)
+	}
+	var raw [5]any
+	if err := db.QueryRow(`SELECT i, f, s, b, ts FROM at WHERE k = 2`).Scan(&raw[0], &raw[1], &raw[2], &raw[3], &raw[4]); err != nil {
+		t.Fatal(err)
+	}
+	if raw != [5]any{int64(7), nil, nil, nil, nil} {
+		t.Fatalf("raw scan of the NULL row: %#v", raw)
+	}
+}

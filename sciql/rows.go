@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bat"
 	"repro/internal/exec"
 	"repro/internal/value"
 )
@@ -30,7 +31,12 @@ import (
 // the in-flight statement of its own connection: run the next
 // statement on that connection after Close.
 type Rows struct {
-	cur    *exec.Cursor
+	cur *exec.Cursor
+	// b is the column batch being served (n rows) and pos the current
+	// row in it; b is nil before the first Next and after the last row.
+	b      *exec.Batch
+	n, pos int
+	// row is the buffer Values fills, allocated once.
 	row    []Value
 	err    error
 	closed bool
@@ -71,47 +77,95 @@ func (r *Rows) ColumnTypeNames() []string {
 }
 
 // Next advances to the next row, reporting false at the end of the
-// result (or on error — check Err).
+// result (or on error — check Err). A row is a position in the column
+// batch the executor handed out; the next batch is pulled only when
+// the current one is exhausted.
 func (r *Rows) Next() bool {
+	if r.pos+1 < r.n {
+		r.pos++
+		return true
+	}
+	return r.nextBatch()
+}
+
+// nextBatch moves to the first row of the next non-empty batch. The
+// per-cursor trace state advances here, once per batch.
+func (r *Rows) nextBatch() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	row, err := r.cur.Next()
-	if err != nil {
-		r.err = tagQuery(err, r.query)
-		r.close()
-		return false
-	}
-	if row == nil {
-		r.close()
-		return false
-	}
-	r.row = row
-	if t := r.tr; t != nil {
-		t.n++
-		if !t.first {
+	t := r.tr
+	for {
+		if t != nil {
+			t.n += int64(r.n)
+		}
+		b, err := r.cur.NextBatch()
+		r.b, r.n, r.pos = b, 0, 0
+		if err != nil {
+			r.err = tagQuery(err, r.query)
+		}
+		if b == nil {
+			r.close()
+			return false
+		}
+		if r.n = b.Len(); r.n == 0 {
+			continue
+		}
+		if t != nil && !t.first {
 			t.first = true
 			t.db.fire(TraceEvent{Phase: TraceFirstRow, Query: t.query, Kind: t.kind, D: time.Since(t.start), When: time.Now()})
 		}
+		return true
 	}
-	return true
 }
 
-// Values returns the current row's raw engine values. The slice is
-// valid until the next call to Next.
-func (r *Rows) Values() []Value { return r.row }
+// Batch hands an in-tree encoder the column batch holding the current
+// row (after a successful Next) and the rows [lo, hi) of it that are
+// the encoder's to read: lo is the current row, hi stops at the end of
+// the batch or after max rows (max <= 0: no cap). The cursor moves to
+// row hi-1, so the following Next continues behind them. The batch is
+// valid until that Next.
+func (r *Rows) Batch(max int) (b *exec.Batch, lo, hi int) {
+	lo, hi = r.pos, r.n
+	if max > 0 && hi-lo > max {
+		hi = lo + max
+	}
+	r.pos = hi - 1
+	return r.b, lo, hi
+}
+
+// Values returns the current row's raw engine values. The slice is a
+// buffer the cursor owns, refilled by every call: it is valid until
+// the next call to Next or Values — copy what must outlive that.
+func (r *Rows) Values() []Value {
+	if r.b == nil {
+		return nil
+	}
+	if r.row == nil {
+		r.row = make([]Value, len(r.cur.Cols()))
+	}
+	for i := range r.row {
+		r.row[i] = r.b.Value(i, r.pos)
+	}
+	return r.row
+}
 
 // Scan copies the current row into dest: *int64, *int, *float64,
-// *string, *bool, *time.Time, *sciql.Value or *any.
+// *string, *bool, *time.Time, *sciql.Value or *any. Typed columns are
+// read slot by slot — no Value is built for them.
 func (r *Rows) Scan(dest ...any) error {
-	if r.row == nil {
+	if r.b == nil {
 		return fmt.Errorf("sciql: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.row) {
-		return fmt.Errorf("sciql: Scan expects %d destinations, got %d", len(r.row), len(dest))
+	if n := len(r.cur.Cols()); len(dest) != n {
+		return fmt.Errorf("sciql: Scan expects %d destinations, got %d", n, len(dest))
 	}
+	vecs := r.b.Vecs
 	for i, d := range dest {
-		if err := scanValue(r.row[i], d); err != nil {
+		if vecs != nil && scanSlot(vecs[i], r.pos, d) {
+			continue
+		}
+		if err := scanValue(r.b.Value(i, r.pos), d); err != nil {
 			return fmt.Errorf("sciql: Scan column %d: %w", i, err)
 		}
 	}
@@ -134,8 +188,12 @@ func (r *Rows) close() {
 		r.cur.Close()
 		if t := r.tr; t != nil {
 			r.tr = nil
+			if r.b != nil { // closed mid-batch: the rows read out of it
+				t.n += int64(r.pos + 1)
+			}
 			t.db.noteClose(t.query, t.kind, t.start, t.n, r.err)
 		}
+		r.b, r.n = nil, 0
 	}
 }
 
@@ -151,6 +209,50 @@ func (r *Rows) materialize() (*Result, error) {
 		t.n = int64(ds.NumRows())
 	}
 	return ds, err
+}
+
+// scanSlot copies element i of a typed column into a destination of
+// the column's own Go type, without boxing; false leaves the cell to
+// scanValue (NULLs, conversions, every other destination).
+func scanSlot(vec bat.Vector, i int, dest any) bool {
+	if vec.IsNull(i) {
+		return false
+	}
+	switch v := vec.(type) {
+	case *bat.IntVector:
+		switch d := dest.(type) {
+		case *int64:
+			*d = v.Ints()[i]
+		case *float64:
+			*d = float64(v.Ints()[i])
+		default:
+			return false
+		}
+	case *bat.FloatVector:
+		switch d := dest.(type) {
+		case *float64:
+			*d = v.Floats()[i]
+		case *int64:
+			*d = int64(v.Floats()[i])
+		default:
+			return false
+		}
+	case *bat.StringVector:
+		d, ok := dest.(*string)
+		if ok {
+			*d = v.Strings()[i]
+		}
+		return ok
+	case *bat.BoolVector:
+		d, ok := dest.(*bool)
+		if ok {
+			*d = v.Bools()[i]
+		}
+		return ok
+	default:
+		return false
+	}
+	return true
 }
 
 // scanValue converts one engine value into a Go destination.
@@ -210,7 +312,7 @@ func numeric(v Value) bool {
 
 // GoValue maps an engine value onto its natural Go representation:
 // nil for NULL, int64, float64, string, bool, time.Time, or the raw
-// array handle. The database/sql driver builds on it.
+// array handle.
 func GoValue(v Value) any {
 	if v.Null {
 		return nil
@@ -229,4 +331,26 @@ func GoValue(v Value) any {
 	default:
 		return v.A
 	}
+}
+
+// GoCell is GoValue of cell (col, row) of a column batch, read from the
+// typed slot where the column has one. The database/sql driver builds
+// its rows on it.
+func GoCell(b *exec.Batch, col, row int) any {
+	if vecs := b.Vecs; vecs != nil && !vecs[col].IsNull(row) {
+		switch v := vecs[col].(type) {
+		case *bat.IntVector:
+			if v.Type() == value.Timestamp {
+				return time.UnixMicro(v.Ints()[row]).UTC()
+			}
+			return v.Ints()[row]
+		case *bat.FloatVector:
+			return v.Floats()[row]
+		case *bat.StringVector:
+			return v.Strings()[row]
+		case *bat.BoolVector:
+			return v.Bools()[row]
+		}
+	}
+	return GoValue(b.Value(col, row))
 }

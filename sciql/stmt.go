@@ -56,6 +56,28 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 // Text returns the statement's SQL.
 func (s *Stmt) Text() string { return s.text }
 
+// NumStatements reports how many statements the text holds (0 for an
+// empty or comment-only text).
+func (s *Stmt) NumStatements() int { return len(s.stmts) }
+
+// Kind classifies the compiled text: "select", "explain", "insert",
+// "update", "delete", "set", "tx", "ddl" or "other" for one statement,
+// "script" otherwise. A protocol front end routes on it — Query for
+// "select" and "explain", Exec for the rest — instead of parsing the
+// text a second time.
+func (s *Stmt) Kind() string { return scriptKind(s.stmts) }
+
+// TxVerb is "BEGIN", "COMMIT" or "ROLLBACK" when the text is that one
+// transaction-control statement, "" otherwise.
+func (s *Stmt) TxVerb() string {
+	if len(s.stmts) == 1 {
+		if tx, ok := s.stmts[0].(*ast.TxStmt); ok {
+			return string(tx.Kind)
+		}
+	}
+	return ""
+}
+
 // Close releases the statement. It is a no-op today.
 func (s *Stmt) Close() error { return nil }
 

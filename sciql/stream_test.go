@@ -389,3 +389,202 @@ func TestRangePushdownConsumed(t *testing.T) {
 		t.Fatalf("float lower bound returned %d rows, want 3:\n%s", rs.NumRows(), rs)
 	}
 }
+
+// batchDB holds a 10 000-cell array: a scan of it is three column
+// batches (4096 + 4096 + 1808 rows) in one chunk serially and several
+// chunks in parallel, so a cursor over it crosses batch boundaries.
+func batchDB(t testing.TB, par int) *DB {
+	t.Helper()
+	db := Open()
+	db.Parallelism(par)
+	db.MustExec(`CREATE ARRAY wide (x INTEGER DIMENSION[10000], v FLOAT DEFAULT 0.0, w INTEGER DEFAULT 0)`)
+	db.MustExec(`UPDATE wide SET v = x * 0.5, w = MOD(x, 7)`)
+	return db
+}
+
+const batchQuery = `SELECT x, v, w FROM wide WHERE w < 6`
+
+// TestRowsAcrossBatchBoundaries is the in-process twin of the wire
+// suite's batch-boundary scenarios: a result of more than two batches
+// read row by row, through Values and Scan, and through the batch
+// accessor at the row limits a portal uses — each compared row for row
+// with the materialized result, at parallelism 1 and 4. Closing or
+// canceling mid-batch leaves nothing pinned and no goroutine behind.
+func TestRowsAcrossBatchBoundaries(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			db := batchDB(t, par)
+			want := db.MustQuery(batchQuery)
+			if want.NumRows() <= 8192 {
+				t.Fatalf("result has %d rows; the test needs more than two batches", want.NumRows())
+			}
+			before := runtime.NumGoroutine()
+			open := func(ctx context.Context) *Rows {
+				rows, err := db.QueryContext(ctx, batchQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rows
+			}
+			settled := func(what string) {
+				t.Helper()
+				if got := pinned(db); got != 0 {
+					t.Fatalf("%s: snapshots_pinned = %d, want 0", what, got)
+				}
+				waitForGoroutines(t, before)
+			}
+
+			// Row by row: Values and Scan agree with the materialized rows.
+			rows := open(context.Background())
+			n := 0
+			for rows.Next() {
+				var x int64
+				var v float64
+				var w Value
+				if err := rows.Scan(&x, &v, &w); err != nil {
+					t.Fatal(err)
+				}
+				vals := rows.Values()
+				if x != want.Get(n, 0).I || v != want.Get(n, 1).F || w != want.Get(n, 2) ||
+					vals[0] != want.Get(n, 0) || vals[1] != want.Get(n, 1) || vals[2] != want.Get(n, 2) {
+					t.Fatalf("row %d: scanned (%d, %v, %v), values %v, want %v", n, x, v, w, vals, want.Row(n))
+				}
+				n++
+			}
+			if err := rows.Err(); err != nil || n != want.NumRows() {
+				t.Fatalf("drained %d rows (err %v), want %d", n, err, want.NumRows())
+			}
+			settled("drain")
+
+			// The batch accessor at a portal's row limits: suspensions that
+			// fall inside, on and across batch boundaries.
+			for _, limit := range []int{1, 7, 4096, 5000} {
+				rows := open(context.Background())
+				n := 0
+				for rows.Next() {
+					b, lo, hi := rows.Batch(limit)
+					if hi-lo > limit || hi <= lo || hi > b.Len() {
+						t.Fatalf("limit %d: Batch returned [%d, %d) of %d rows", limit, lo, hi, b.Len())
+					}
+					for r := lo; r < hi; r++ {
+						for c := 0; c < 3; c++ {
+							if got := b.Value(c, r); got != want.Get(n, c) {
+								t.Fatalf("limit %d: row %d col %d = %v, want %v", limit, n, c, got, want.Get(n, c))
+							}
+						}
+						n++
+					}
+					if got := rows.Values()[0]; got != want.Get(n-1, 0) {
+						t.Fatalf("limit %d: after Batch the cursor stands on x = %v, want %v", limit, got, want.Get(n-1, 0))
+					}
+				}
+				if err := rows.Err(); err != nil || n != want.NumRows() {
+					t.Fatalf("limit %d: read %d rows (err %v), want %d", limit, n, err, want.NumRows())
+				}
+			}
+			settled("batch accessor")
+
+			// Close mid-batch, then cancel mid-batch.
+			rows = open(context.Background())
+			for i := 0; i < 5000 && rows.Next(); i++ {
+			}
+			rows.Close()
+			if rows.Next() {
+				t.Fatal("Next after Close returned a row")
+			}
+			settled("close mid-batch")
+
+			// A canceled stream ends with the cancel or with every row —
+			// never clean and short (the parallel stream used to drop the
+			// producer's error when it lost a race against its own cancel).
+			for i := 0; i < 20; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				rows = open(ctx)
+				n := 0
+				for ; n < 100 && rows.Next(); n++ {
+				}
+				cancel()
+				for rows.Next() {
+					n++
+				}
+				if err := rows.Err(); err != nil && !errors.Is(err, context.Canceled) || err == nil && n != want.NumRows() {
+					t.Fatalf("after cancel: %d of %d rows, err %v", n, want.NumRows(), err)
+				}
+				rows.Close()
+			}
+			settled("cancel mid-batch")
+		})
+	}
+}
+
+// TestValuesBufferIsReused pins the documented contract of Values: the
+// slice is the cursor's one row buffer, so holding it across Next is
+// the misuse the documentation says it is — the held slice reads the
+// new row.
+func TestValuesBufferIsReused(t *testing.T) {
+	db := batchDB(t, 1)
+	for _, tc := range []struct {
+		q     string
+		boxed bool
+	}{
+		{batchQuery, false}, // kernel pipeline: typed column batches
+		{`SELECT x, v, w FROM wide WHERE w < (SELECT 6)`, false},              // materialized fallback
+		{`SELECT x, CASE WHEN w > 3 THEN 'hi' ELSE 'lo' END FROM wide`, true}, // interpreter: boxed rows
+	} {
+		q := tc.q
+		rows, err := db.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Values() != nil {
+			t.Fatalf("%s: Values before Next is not nil", q)
+		}
+		if !rows.Next() {
+			t.Fatal(rows.Err())
+		}
+		if boxed := rows.b.Vecs == nil; boxed != tc.boxed {
+			t.Fatalf("%s: boxed batch = %v, want %v", q, boxed, tc.boxed)
+		}
+		held := rows.Values()
+		first := held[0]
+		if !rows.Next() {
+			t.Fatal(rows.Err())
+		}
+		if now := rows.Values(); &now[0] != &held[0] {
+			t.Fatalf("%s: Values allocated a fresh row", q)
+		}
+		if held[0] == first {
+			t.Fatalf("%s: a slice held across Next kept the old row: %v", q, held)
+		}
+		rows.Close()
+	}
+}
+
+// TestRowsScanAllocatesNothing: Next + Scan into *int64 / *float64 over
+// a vectorized batch costs no allocation per row.
+func TestRowsScanAllocatesNothing(t *testing.T) {
+	db := batchDB(t, 1)
+	rows, err := db.QueryContext(context.Background(), `SELECT x, v FROM wide`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() { // pulls the first batch
+		t.Fatal(rows.Err())
+	}
+	var x int64
+	var v float64
+	var sum float64
+	allocs := testing.AllocsPerRun(2000, func() {
+		if !rows.Next() {
+			t.Fatal("result ended early")
+		}
+		if err := rows.Scan(&x, &v); err != nil {
+			t.Fatal(err)
+		}
+		sum += v + float64(x)
+	})
+	if allocs != 0 {
+		t.Fatalf("Next+Scan allocates %v times per row, want 0", allocs)
+	}
+}
