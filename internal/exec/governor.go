@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/governor"
-	"repro/internal/value"
 )
 
 // This file is the executor side of the resource governor: the
@@ -76,26 +75,6 @@ func (e *Engine) registerCursorRelease(rel func()) func() {
 	sh.curRel[tok] = fn
 	sh.curMu.Unlock()
 	return fn
-}
-
-// approxValueBytes estimates one boxed value's heap footprint: the
-// value.Value struct plus string payload. Like bat.ApproxBytes it is a
-// cheap, reproducible proxy, not an allocator-exact figure.
-func approxValueBytes(v value.Value) int64 {
-	return 64 + int64(len(v.S))
-}
-
-// approxRowsBytes estimates the footprint of a buffered row batch
-// (slice headers plus boxed values).
-func approxRowsBytes(rows [][]value.Value) int64 {
-	var n int64
-	for _, r := range rows {
-		n += 24
-		for _, v := range r {
-			n += approxValueBytes(v)
-		}
-	}
-	return n
 }
 
 // approxDatasetBytes estimates a columnar dataset's payload footprint.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -39,38 +40,74 @@ import (
 // implementation, two views.
 
 // Batch is the unit a result travels in, from the operator to the
-// socket: the output rows of one scan batch — typed columns in Vecs
-// (read-only, possibly views of the store) when the kernel pipeline or
-// a materialized dataset produced them, boxed Rows where the
-// interpreter did. err marks the terminal step of a failed stream.
+// socket: the output rows of one scan batch as columns (read-only,
+// possibly views of the store) — typed vectors from the kernel pipeline
+// or a materialized dataset, boxed ones (bat.AnyVector) where the
+// interpreter produced the rows. err marks the terminal step of a
+// failed stream.
 type Batch struct {
 	Vecs []bat.Vector
-	Rows [][]value.Value
 	err  error
 }
 
 // Len returns the number of rows.
 func (b *Batch) Len() int {
-	if len(b.Vecs) > 0 {
-		return b.Vecs[0].Len()
+	if len(b.Vecs) == 0 {
+		return 0
 	}
-	return len(b.Rows)
+	return b.Vecs[0].Len()
 }
 
-// Value boxes one cell, whichever way the batch holds it.
-func (b *Batch) Value(col, row int) value.Value {
-	if b.Vecs != nil {
-		return b.Vecs[col].Get(row)
+// Value boxes one cell.
+func (b *Batch) Value(col, row int) value.Value { return b.Vecs[col].Get(row) }
+
+// Cell is one cell read without boxing — the one place that knows how
+// a batch holds its cells. Typ says where the content is: N for Int,
+// Timestamp (Unix microseconds) and Bool (0 or 1), Float() for Float
+// (N holds its bits), S for String; a cell of any other type (an array
+// handle) has no typed form and is read with Value. Four fields and no
+// more: the compiler keeps a struct of up to four fields in registers
+// and moves a wider one through the stack at every call and return,
+// which made BenchmarkRowsDrain half again as slow.
+type Cell struct {
+	Typ  value.Type
+	Null bool
+	N    int64
+	S    string
+}
+
+// Float is the content of a Float cell.
+func (c Cell) Float() float64 { return math.Float64frombits(uint64(c.N)) }
+
+// Cell reads cell (col, row).
+func (b *Batch) Cell(col, row int) Cell {
+	switch v := b.Vecs[col].(type) {
+	case *bat.IntVector: // INTEGER or TIMESTAMP
+		return Cell{Typ: v.Type(), Null: v.IsNull(row), N: v.Ints()[row]}
+	case *bat.FloatVector:
+		return Cell{Typ: value.Float, Null: v.IsNull(row), N: int64(math.Float64bits(v.Floats()[row]))}
+	case *bat.StringVector:
+		return Cell{Typ: value.String, Null: v.IsNull(row), S: v.Strings()[row]}
+	case *bat.BoolVector:
+		return CellOf(value.Value{Typ: value.Bool, Null: v.IsNull(row), B: v.Bools()[row]})
 	}
-	return b.Rows[row][col]
+	return CellOf(b.Vecs[col].Get(row))
+}
+
+// CellOf is the Cell of a boxed value.
+func CellOf(v value.Value) Cell {
+	c := Cell{Typ: v.Typ, Null: v.Null, N: v.I, S: v.S}
+	switch {
+	case v.Typ == value.Float:
+		c.N = int64(math.Float64bits(v.F))
+	case v.B:
+		c.N = 1
+	}
+	return c
 }
 
 // head cuts the batch down to its first k rows.
 func (b *Batch) head(k int) {
-	if b.Vecs == nil {
-		b.Rows = b.Rows[:k]
-		return
-	}
 	vecs := make([]bat.Vector, len(b.Vecs))
 	for i, v := range b.Vecs {
 		vecs[i] = bat.ViewRange(v, 0, k)
@@ -79,9 +116,7 @@ func (b *Batch) head(k int) {
 }
 
 // approxBytes estimates the batch's footprint for the memory budget.
-func (b *Batch) approxBytes() int64 {
-	return approxDatasetBytes(&Dataset{Vecs: b.Vecs}) + approxRowsBytes(b.Rows)
-}
+func (b *Batch) approxBytes() int64 { return approxDatasetBytes(&Dataset{Vecs: b.Vecs}) }
 
 // Cursor is a pull-based stream of column batches over a query result.
 // It is not safe for concurrent use; Close must be called when done
@@ -96,13 +131,10 @@ type Cursor struct {
 	// as the one batch of a stream that ends after it.
 	ds *Dataset
 	// nextBatch/stopBatch drive the stream; batch is the one being
-	// served, batchRow the next row Next reads out of it and row the
-	// buffer it fills.
+	// served.
 	nextBatch func() (Batch, bool)
 	stopBatch func()
 	batch     Batch
-	batchRow  int
-	row       []value.Value
 	cancel    context.CancelFunc
 	done      bool
 	err       error
@@ -162,27 +194,8 @@ func (c *Cursor) NextBatch() (b *Batch, err error) {
 	if nb.err != nil {
 		return nil, c.finishErr(nb.err)
 	}
-	c.batch, c.batchRow = nb, 0
+	c.batch = nb
 	return &c.batch, nil
-}
-
-// Next returns the next row, or (nil, nil) after the last one: a
-// position in the current batch, boxed into the cursor's one row
-// buffer — the returned slice is valid until the following call.
-func (c *Cursor) Next() ([]value.Value, error) {
-	for c.batchRow >= c.batch.Len() {
-		if b, err := c.NextBatch(); b == nil {
-			return nil, err
-		}
-	}
-	if c.row == nil {
-		c.row = make([]value.Value, len(c.cols))
-	}
-	for i := range c.row {
-		c.row[i] = c.batch.Value(i, c.batchRow)
-	}
-	c.batchRow++
-	return c.row, nil
 }
 
 // Close releases the stream: the producing coroutine is stopped and
@@ -222,34 +235,36 @@ func (c *Cursor) Close() {
 	}
 }
 
-// Materialize drains the cursor into a dataset with the same column
-// metadata and type promotion as the materializing execution path, so
-// the two views of one query are byte-identical.
+// Materialize drains the cursor — every batch NextBatch has not handed
+// out — into a dataset with the same column metadata and type promotion
+// as the materializing execution path, so the two views of one query
+// are byte-identical.
 func (c *Cursor) Materialize() (*Dataset, error) {
 	if c.ds != nil {
 		return c.ds, nil
 	}
 	defer c.Close()
-	// The unread tail of the batch being served, then every batch left.
 	// Vectorized cursors concatenate batch columns wholesale — no
-	// per-row boxing; interpreted rows collect per column for the
+	// per-row boxing; interpreted cells collect per column for the
 	// interpreter's type promotion.
 	acc := NewDataset(c.batchCols)
 	colVals := make([][]value.Value, len(c.items))
-	for b, from := &c.batch, c.batchRow; b != nil; from = 0 {
-		for i, v := range b.Vecs {
-			acc.Vecs[i] = bat.Concat(acc.Vecs[i], bat.ViewRange(v, from, v.Len()))
-		}
-		if from < len(b.Rows) {
-			for _, row := range b.Rows[from:] {
-				for i, v := range row {
-					colVals[i] = append(colVals[i], v)
-				}
-			}
-		}
-		var err error
-		if b, err = c.NextBatch(); err != nil {
+	for {
+		b, err := c.NextBatch()
+		if err != nil {
 			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		for i, v := range b.Vecs {
+			if c.batchCols != nil {
+				acc.Vecs[i] = bat.Concat(acc.Vecs[i], v)
+				continue
+			}
+			for r := range v.Len() {
+				colVals[i] = append(colVals[i], v.Get(r))
+			}
 		}
 	}
 	if c.batchCols == nil {
@@ -739,9 +754,9 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (Batch, error
 	}
 	env := &rowEnv{d: in, outer: sp.outer}
 	n := in.NumRows()
-	var rows [][]value.Value
-	var postWhere int64
-	for r := 0; r < n && (max < 0 || len(rows) < max); r++ {
+	cols := make([][]value.Value, len(sp.items)) // column-major: one boxed vector per item
+	var postWhere, emitted int64
+	for r := 0; r < n && (max < 0 || emitted < int64(max)); r++ {
 		env.row = r
 		if sp.where != nil {
 			if ok, err := e.Ev.EvalBool(sp.where, env); err != nil {
@@ -758,17 +773,19 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (Batch, error
 				continue
 			}
 		}
-		row := make([]value.Value, len(sp.items))
 		for i, it := range sp.items {
 			v, err := e.Ev.Eval(it.Expr, env)
 			if err != nil {
 				return Batch{}, err
 			}
-			row[i] = v
+			cols[i] = append(cols[i], v)
 		}
-		rows = append(rows, row)
+		emitted++
 	}
-	emitted := int64(len(rows))
+	out := make([]bat.Vector, len(cols))
+	for i, vals := range cols {
+		out[i] = bat.NewAnyVector(value.Unknown, vals)
+	}
 	e.metrics().scanRows.Add(emitted)
 	if p := sp.prof; p != nil {
 		// Filter and projection interleave per row; their time lands on
@@ -792,7 +809,7 @@ func (e *Engine) streamBatch(sp *streamPlan, in *Dataset, max int) (Batch, error
 			p.Limit.RowBatches.Add(1)
 		}
 	}
-	return Batch{Rows: rows}, nil
+	return Batch{Vecs: out}, nil
 }
 
 // serialStream walks the chunks in order on the consumer's coroutine,

@@ -35,10 +35,10 @@ func TestDDLInvalidatesPlanCache(t *testing.T) {
 	}
 }
 
-// TestCursorNextIsDerivedFromBatches: Next walks the rows of the
-// batches NextBatch hands out — across batch boundaries, in order — and
-// boxes each into the cursor's one row buffer.
-func TestCursorNextIsDerivedFromBatches(t *testing.T) {
+// TestCursorServesBatchesInOrder: NextBatch hands out the stream's
+// batches in scan order, each valid until the next call, and Cell reads
+// what Value boxes.
+func TestCursorServesBatchesInOrder(t *testing.T) {
 	e := New()
 	for _, sql := range []string{
 		`CREATE ARRAY m (x INTEGER DIMENSION[10000], v FLOAT DEFAULT 0.0)`,
@@ -52,40 +52,40 @@ func TestCursorNextIsDerivedFromBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stmt, err := parser.ParseOne(`SELECT x, v FROM m WHERE x >= 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := e.QueryStream(context.Background(), stmt.(*ast.Select), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	first, err := cur.Next()
-	if err != nil || first == nil {
-		t.Fatalf("first row: %v, %v", first, err)
-	}
-	batches := 1
-	for n := int64(6); ; n++ {
-		held := cur.batch
-		row, err := cur.Next()
+	for _, vectorized := range []bool{true, false} {
+		e.SetVectorized(vectorized)
+		stmt, err := parser.ParseOne(`SELECT x, v FROM m WHERE x >= 5`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row == nil {
-			if n != 10000 || batches < 3 {
-				t.Fatalf("stream ended after x = %d in %d batches", n-1, batches)
+		cur, err := e.QueryStream(context.Background(), stmt.(*ast.Select), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, batches := int64(5), 0
+		for {
+			b, err := cur.NextBatch()
+			if err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
-		if &row[0] != &first[0] {
-			t.Fatal("Next allocated a fresh row")
-		}
-		if row[0].I != n || row[1].F != float64(2*n) {
-			t.Fatalf("row = %v, want x = %d", row, n)
-		}
-		if len(held.Vecs) > 0 && held.Vecs[0] != cur.batch.Vecs[0] {
+			if b == nil {
+				break
+			}
 			batches++
+			for r := range b.Len() {
+				x, v := b.Cell(0, r), b.Cell(1, r)
+				if x != CellOf(b.Value(0, r)) || v != CellOf(b.Value(1, r)) {
+					t.Fatalf("vectorized=%v row %d: Cell %v %v, Value %v %v", vectorized, n, x, v, b.Value(0, r), b.Value(1, r))
+				}
+				if x.Null || x.N != n || v.Null || v.Float() != float64(2*n) {
+					t.Fatalf("vectorized=%v: row = %v %v, want x = %d", vectorized, x, v, n)
+				}
+				n++
+			}
 		}
+		if n != 10000 || batches < 3 {
+			t.Fatalf("vectorized=%v: stream ended after x = %d in %d batches", vectorized, n-1, batches)
+		}
+		cur.Close()
 	}
 }

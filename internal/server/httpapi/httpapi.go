@@ -10,7 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -139,10 +141,11 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// classifies the text and runs it.
 	st, err := h.DB.Prepare(req.SQL)
 	if err != nil {
-		h.fail(w, http.StatusBadRequest, sciql.SQLStateSyntaxError, err)
+		h.failErr(w, err) // 42601 for a parse error
 		return
 	}
 	ctx := r.Context()
+	var resp QueryResponse
 	switch st.Kind() {
 	case "select", "explain":
 		rows, err := st.QueryContext(ctx, args...)
@@ -151,17 +154,28 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer rows.Close()
-		body, n, err := encodeResult(ctx, rows)
-		if errors.As(err, new(encodeError)) {
-			h.fail(w, http.StatusInternalServerError, sciql.SQLStateInternalError, err)
-			return
+		resp.Columns, resp.Types = rows.Columns(), rows.ColumnTypeNames()
+		for rows.Next() {
+			if err := ctx.Err(); err != nil { // once per batch: the client is gone
+				h.failErr(w, err)
+				return
+			}
+			b, lo, hi := rows.Batch(encodeBatchRows)
+			for r := lo; r < hi; r++ {
+				out := make([]any, len(b.Vecs))
+				for c := range out {
+					out[c] = jsonValue(b.Value(c, r))
+				}
+				resp.Rows = append(resp.Rows, out)
+			}
 		}
-		if err != nil {
+		if err := rows.Err(); err != nil {
 			h.failErr(w, err)
 			return
 		}
-		h.met().Rows.Add(n)
-		h.ok(w, body)
+		resp.RowCount = int64(len(resp.Rows))
+		h.met().Rows.Add(resp.RowCount)
+		h.ok(w, &resp)
 		return
 	}
 	res, err := st.ExecContext(ctx, args...)
@@ -169,18 +183,27 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		h.failErr(w, err)
 		return
 	}
-	n := 0
 	if res != nil {
-		n = res.NumRows()
+		resp.RowCount = int64(res.NumRows())
 	}
-	h.ok(w, fmt.Appendf(nil, "{\"rowCount\":%d}\n", n))
+	h.ok(w, &resp)
 }
 
-// ok sends a complete success body; nothing has reached the client
-// before it, so every failure up to here could still pick its status.
-func (h *Handler) ok(w http.ResponseWriter, body []byte) {
+// encodeBatchRows caps the rows boxed between two polls of the request
+// context.
+const encodeBatchRows = 4096
+
+// ok sends the success body. It is marshaled before the status line is
+// written, so a cell JSON cannot carry (an opaque handle) is still a
+// 500 with a SQLSTATE body, never a 200 with no document.
+func (h *Handler) ok(w http.ResponseWriter, resp *QueryResponse) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		h.fail(w, http.StatusInternalServerError, sciql.SQLStateInternalError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	w.Write(append(body, '\n'))
 }
 
 // failErr maps an engine error onto its SQLSTATE and an HTTP status.
@@ -238,4 +261,31 @@ func bindArgs(in map[string]any) ([]sciql.Arg, error) {
 		}
 	}
 	return args, nil
+}
+
+// jsonValue maps an engine value onto its JSON representation. What a
+// JSON number cannot carry travels as a string: integers beyond float64
+// precision, and the non-finite floats as "NaN", "Infinity" and
+// "-Infinity".
+func jsonValue(v sciql.Value) any {
+	switch g := sciql.GoValue(v).(type) {
+	case int64:
+		const maxExact = int64(1) << 53
+		if g > maxExact || g < -maxExact {
+			return strconv.FormatInt(g, 10)
+		}
+		return g
+	case float64:
+		switch {
+		case math.IsNaN(g):
+			return "NaN"
+		case math.IsInf(g, 1):
+			return "Infinity"
+		case math.IsInf(g, -1):
+			return "-Infinity"
+		}
+		return g
+	default:
+		return g
+	}
 }

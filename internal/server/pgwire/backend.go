@@ -482,7 +482,7 @@ func (c *serverConn) runSimpleStatement(sql string) bool {
 	c.b.met().Queries.Inc()
 	st, err := c.sess.Prepare(sql)
 	if err != nil {
-		c.sendStmtError(sciql.SQLStateSyntaxError, err)
+		c.sendStmtError(sciql.SQLState(err), err) // 42601 for a parse error
 		return false
 	}
 	if st.NumStatements() == 0 {
@@ -642,7 +642,7 @@ func (c *serverConn) handleParse(data []byte) {
 	}
 	st, err := c.sess.Prepare(m.SQL)
 	if err != nil {
-		c.extFail(sciql.SQLStateSyntaxError, err)
+		c.extFail(sciql.SQLState(err), err) // 42601 for a parse error
 		return
 	}
 	if st.NumStatements() > 1 {

@@ -146,19 +146,21 @@ func printerText(v value.Value) string {
 }
 
 // TestDataRowsMatchEncodeText: for random vectors of every column type
-// the frames WriteDataRows appends from typed slots are byte for byte
-// the frames of WriteDataRow over EncodeText(vec.Get(i)) — typed
-// batches and boxed ones, any row range.
+// the frames WriteDataRows appends cell by cell are byte for byte the
+// frames of WriteDataRow over EncodeText(vec.Get(i)) — typed batches and
+// boxed ones, any row range.
 func TestDataRowsMatchEncodeText(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
 		typed := randomBatch(r, n)
-		boxed := &exec.Batch{Rows: make([][]value.Value, n)}
-		for i := range boxed.Rows {
-			for c := range typed.Vecs {
-				boxed.Rows[i] = append(boxed.Rows[i], typed.Value(c, i))
+		boxed := &exec.Batch{} // the interpreter's form: every column boxed
+		for c := range typed.Vecs {
+			vals := make([]value.Value, n)
+			for i := range vals {
+				vals[i] = typed.Value(c, i)
 			}
+			boxed.Vecs = append(boxed.Vecs, bat.NewAnyVector(value.Unknown, vals))
 		}
 		lo := r.Intn(n)
 		hi := lo + r.Intn(n-lo+1)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/value"
 )
 
@@ -47,51 +48,44 @@ func EncodeText(v value.Value) []byte {
 	if v.Null {
 		return nil
 	}
-	return AppendText(make([]byte, 0, 24), v)
+	dst, typed := appendCell(make([]byte, 0, 24), exec.CellOf(v))
+	if !typed {
+		dst = append(dst, v.String()...)
+	}
+	return dst
 }
 
-// AppendText appends the wire text format of a non-NULL value to dst.
-// Booleans use the PostgreSQL "t"/"f" spelling and non-finite floats
-// its "Infinity"/"-Infinity"/"NaN" (libpq-family clients reject Go's
-// "+Inf"); every other value reads as the engine's canonical rendering,
-// so what psql shows matches the in-process result printer byte for
-// byte.
-func AppendText(dst []byte, v value.Value) []byte {
-	switch v.Typ {
+// appendCell appends the wire text format of a non-NULL cell to dst —
+// the one definition of it; false (nothing appended) for a cell with no
+// typed form, which travels as its String. Booleans use the PostgreSQL
+// "t"/"f" spelling and non-finite floats its "Infinity"/"-Infinity"/
+// "NaN" (libpq-family clients reject Go's "+Inf"); every other value
+// reads as the engine's canonical rendering, so what psql shows matches
+// the in-process result printer byte for byte.
+func appendCell(dst []byte, c exec.Cell) ([]byte, bool) {
+	switch c.Typ {
 	case value.Bool:
-		return appendBool(dst, v.B)
+		if c.N != 0 {
+			return append(dst, 't'), true
+		}
+		return append(dst, 'f'), true
 	case value.Int:
-		return strconv.AppendInt(dst, v.I, 10)
+		return strconv.AppendInt(dst, c.N, 10), true
 	case value.Float:
-		return appendFloat8(dst, v.F)
+		f := c.Float()
+		switch {
+		case math.IsInf(f, 1):
+			return append(dst, "Infinity"...), true
+		case math.IsInf(f, -1):
+			return append(dst, "-Infinity"...), true
+		}
+		return strconv.AppendFloat(dst, f, 'g', -1, 64), true
 	case value.String:
-		return append(dst, v.S...)
-	case value.Timestamp:
-		return appendTimestamp(dst, v.I)
+		return append(dst, c.S...), true
+	case value.Timestamp: // as value.String formats it
+		return time.UnixMicro(c.N).UTC().AppendFormat(dst, "2006-01-02 15:04:05.000000"), true
 	}
-	return append(dst, v.String()...)
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 't')
-	}
-	return append(dst, 'f')
-}
-
-func appendFloat8(dst []byte, f float64) []byte {
-	switch {
-	case math.IsInf(f, 1):
-		return append(dst, "Infinity"...)
-	case math.IsInf(f, -1):
-		return append(dst, "-Infinity"...)
-	}
-	return strconv.AppendFloat(dst, f, 'g', -1, 64)
-}
-
-// appendTimestamp formats Unix microseconds the way value.String does.
-func appendTimestamp(dst []byte, usec int64) []byte {
-	return time.UnixMicro(usec).UTC().AppendFormat(dst, "2006-01-02 15:04:05.000000")
+	return dst, false
 }
 
 // DecodeParam converts one text-format parameter into an engine value

@@ -432,6 +432,30 @@ func TestConnClosedAndTxDone(t *testing.T) {
 	}
 }
 
+// TestPrepareErrorClasses: what a protocol front end reports when
+// Prepare fails — 42601 for a text the parser refuses (message
+// unchanged, and no statement-cache miss counted for it), the generic
+// class for anything else, such as a closed connection.
+func TestPrepareErrorClasses(t *testing.T) {
+	db := Open()
+	c, _ := db.Conn(context.Background())
+	before := db.Metrics()["stmt_cache_miss_total"]
+	_, err := c.Prepare(`SELEKT 1`)
+	if SQLState(err) != SQLStateSyntaxError || !strings.HasPrefix(err.Error(), "line 1:") {
+		t.Fatalf("parse error: state %s, err %v", SQLState(err), err)
+	}
+	if _, err := db.Exec(`SELEKT 1`); SQLState(err) != SQLStateSyntaxError {
+		t.Fatalf("Exec of a parse error: state %s, err %v", SQLState(err), err)
+	}
+	if d := db.Metrics()["stmt_cache_miss_total"] - before; d != 0 {
+		t.Fatalf("two texts that do not parse counted %d statement-cache misses", d)
+	}
+	c.Close()
+	if _, err := c.Prepare(`SELECT 1`); SQLState(err) != SQLStateGeneric {
+		t.Fatalf("Prepare on a closed connection: state %s, err %v", SQLState(err), err)
+	}
+}
+
 // TestTxStatementAtomicity: a statement that fails mid-execution
 // inside a transaction leaves no partial effects — earlier statements
 // of the same transaction survive, and COMMIT publishes only them.

@@ -273,11 +273,10 @@ func ordinalValues(vals []stddriver.Value) []stddriver.NamedValue {
 }
 
 // rows streams straight from the engine cursor: each driver Next call
-// reads one row out of the sciql.Rows' current column batch — typed
-// slots become int64/float64/string/bool/time.Time without passing
-// through an engine Value — against the catalog snapshot pinned at
-// query start: no pre-buffering, no lock held while the caller
-// iterates, and the first row is available before a long scan finishes.
+// reads one row out of the sciql.Rows' current column batch, against
+// the catalog snapshot pinned at query start — no pre-buffering, no
+// lock held while the caller iterates, and the first row is available
+// before a long scan finishes.
 type rows struct {
 	r     *sciql.Rows
 	cols  []string
@@ -306,7 +305,7 @@ func (r *rows) Next(dest []stddriver.Value) error {
 	}
 	b, row, _ := r.r.Batch(1)
 	for i := range dest {
-		dest[i] = driverValue(sciql.GoCell(b, i, row))
+		dest[i] = driverValue(b.Value(i, row))
 	}
 	return nil
 }
@@ -343,8 +342,9 @@ func (r *rows) ColumnTypeScanType(index int) reflect.Type {
 	}
 }
 
-// driverValue maps a cell's Go value onto driver.Value's allowed set.
-func driverValue(g any) stddriver.Value {
+// driverValue maps an engine value onto driver.Value's allowed set.
+func driverValue(v sciql.Value) stddriver.Value {
+	g := sciql.GoValue(v)
 	switch g.(type) {
 	case nil, int64, float64, bool, []byte, string, time.Time:
 		return g

@@ -45,11 +45,18 @@ const (
 	SQLStateAdminShutdown = "57P01"
 )
 
-// SQLState classifies err as a SQLSTATE code. Typed governor and
-// transaction errors map onto their PostgreSQL equivalents; anything
-// unrecognized classifies as SQLStateGeneric (a statement-level user
-// error), never as an internal error — XX000 is reserved for contained
-// panics, which are engine bugs by definition. nil maps to "".
+// syntaxError marks a text the parser refused (compile wraps the
+// parser's error in it; the message is unchanged).
+type syntaxError struct{ error }
+
+func (e syntaxError) Unwrap() error { return e.error }
+
+// SQLState classifies err as a SQLSTATE code. Parse errors and typed
+// governor and transaction errors map onto their PostgreSQL
+// equivalents; anything unrecognized classifies as SQLStateGeneric (a
+// statement-level user error), never as an internal error — XX000 is
+// reserved for contained panics, which are engine bugs by definition.
+// nil maps to "".
 func SQLState(err error) string {
 	if err == nil {
 		return ""
@@ -58,6 +65,8 @@ func SQLState(err error) string {
 	switch {
 	case errors.As(err, &pe):
 		return SQLStateInternalError
+	case errors.As(err, new(syntaxError)):
+		return SQLStateSyntaxError
 	case errors.Is(err, ErrTxConflict):
 		return SQLStateSerializationFailure
 	case errors.Is(err, ErrStatementTimeout):

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bat"
 	"repro/internal/exec"
 	"repro/internal/value"
 )
@@ -160,12 +159,8 @@ func (r *Rows) Scan(dest ...any) error {
 	if n := len(r.cur.Cols()); len(dest) != n {
 		return fmt.Errorf("sciql: Scan expects %d destinations, got %d", n, len(dest))
 	}
-	vecs := r.b.Vecs
 	for i, d := range dest {
-		if vecs != nil && scanSlot(vecs[i], r.pos, d) {
-			continue
-		}
-		if err := scanValue(r.b.Value(i, r.pos), d); err != nil {
+		if err := scanCell(r.b, i, r.pos, d); err != nil {
 			return fmt.Errorf("sciql: Scan column %d: %w", i, err)
 		}
 	}
@@ -211,103 +206,69 @@ func (r *Rows) materialize() (*Result, error) {
 	return ds, err
 }
 
-// scanSlot copies element i of a typed column into a destination of
-// the column's own Go type, without boxing; false leaves the cell to
-// scanValue (NULLs, conversions, every other destination).
-func scanSlot(vec bat.Vector, i int, dest any) bool {
-	if vec.IsNull(i) {
-		return false
-	}
-	switch v := vec.(type) {
-	case *bat.IntVector:
-		switch d := dest.(type) {
-		case *int64:
-			*d = v.Ints()[i]
-		case *float64:
-			*d = float64(v.Ints()[i])
-		default:
-			return false
-		}
-	case *bat.FloatVector:
-		switch d := dest.(type) {
-		case *float64:
-			*d = v.Floats()[i]
-		case *int64:
-			*d = int64(v.Floats()[i])
-		default:
-			return false
-		}
-	case *bat.StringVector:
-		d, ok := dest.(*string)
-		if ok {
-			*d = v.Strings()[i]
-		}
-		return ok
-	case *bat.BoolVector:
-		d, ok := dest.(*bool)
-		if ok {
-			*d = v.Bools()[i]
-		}
-		return ok
-	default:
-		return false
-	}
-	return true
-}
-
-// scanValue converts one engine value into a Go destination.
-func scanValue(v Value, dest any) error {
+// scanCell copies cell (col, row) of b into a Go destination.
+func scanCell(b *exec.Batch, col, row int, dest any) error {
 	switch d := dest.(type) {
 	case *Value:
-		*d = v
+		*d = b.Value(col, row)
 		return nil
 	case *any:
-		*d = GoValue(v)
+		*d = GoValue(b.Value(col, row))
 		return nil
 	}
-	if v.Null {
+	c := b.Cell(col, row)
+	if c.Null {
 		return fmt.Errorf("cannot scan NULL into %T (use *sciql.Value or *any)", dest)
 	}
+	i, f, numeric := cellNumber(c)
 	switch d := dest.(type) {
 	case *int64:
-		if !numeric(v) {
-			return fmt.Errorf("cannot scan %s into *int64", v.Typ)
+		if !numeric {
+			return fmt.Errorf("cannot scan %s into *int64", c.Typ)
 		}
-		*d = v.AsInt()
+		*d = i
 	case *int:
-		if !numeric(v) {
-			return fmt.Errorf("cannot scan %s into *int", v.Typ)
+		if !numeric {
+			return fmt.Errorf("cannot scan %s into *int", c.Typ)
 		}
-		*d = int(v.AsInt())
+		*d = int(i)
 	case *float64:
-		if !numeric(v) {
-			return fmt.Errorf("cannot scan %s into *float64", v.Typ)
+		if !numeric {
+			return fmt.Errorf("cannot scan %s into *float64", c.Typ)
 		}
-		*d = v.AsFloat()
+		*d = f
 	case *string:
-		*d = v.String()
+		if c.Typ == value.String {
+			*d = c.S
+		} else {
+			*d = b.Value(col, row).String()
+		}
 	case *bool:
-		if v.Typ != value.Bool {
-			return fmt.Errorf("cannot scan %s into *bool", v.Typ)
+		if c.Typ != value.Bool {
+			return fmt.Errorf("cannot scan %s into *bool", c.Typ)
 		}
-		*d = v.B
+		*d = c.N != 0
 	case *time.Time:
-		if v.Typ != value.Timestamp {
-			return fmt.Errorf("cannot scan %s into *time.Time", v.Typ)
+		if c.Typ != value.Timestamp {
+			return fmt.Errorf("cannot scan %s into *time.Time", c.Typ)
 		}
-		*d = time.UnixMicro(v.I).UTC()
+		*d = time.UnixMicro(c.N).UTC()
 	default:
 		return fmt.Errorf("unsupported Scan destination %T", dest)
 	}
 	return nil
 }
 
-func numeric(v Value) bool {
-	switch v.Typ {
-	case value.Int, value.Float, value.Timestamp, value.Bool:
-		return true
+// cellNumber reads a numeric cell (INTEGER, FLOAT, TIMESTAMP, BOOLEAN)
+// as an integer and as a float, the way Value.AsInt and AsFloat do.
+func cellNumber(c exec.Cell) (i int64, f float64, ok bool) {
+	switch c.Typ {
+	case value.Int, value.Timestamp, value.Bool:
+		return c.N, float64(c.N), true
+	case value.Float:
+		return int64(c.Float()), c.Float(), true
 	}
-	return false
+	return 0, 0, false
 }
 
 // GoValue maps an engine value onto its natural Go representation:
@@ -331,26 +292,4 @@ func GoValue(v Value) any {
 	default:
 		return v.A
 	}
-}
-
-// GoCell is GoValue of cell (col, row) of a column batch, read from the
-// typed slot where the column has one. The database/sql driver builds
-// its rows on it.
-func GoCell(b *exec.Batch, col, row int) any {
-	if vecs := b.Vecs; vecs != nil && !vecs[col].IsNull(row) {
-		switch v := vecs[col].(type) {
-		case *bat.IntVector:
-			if v.Type() == value.Timestamp {
-				return time.UnixMicro(v.Ints()[row]).UTC()
-			}
-			return v.Ints()[row]
-		case *bat.FloatVector:
-			return v.Floats()[row]
-		case *bat.StringVector:
-			return v.Strings()[row]
-		case *bat.BoolVector:
-			return v.Bools()[row]
-		}
-	}
-	return GoValue(b.Value(col, row))
 }

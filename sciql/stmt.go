@@ -201,11 +201,11 @@ func (db *DB) compile(sql string) ([]ast.Statement, error) {
 		}
 	}
 	db.mu.Unlock()
-	db.tel.stmtMiss.Inc()
 	stmts, err := parser.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, syntaxError{err}
 	}
+	db.tel.stmtMiss.Inc() // a text that does not parse is no cache miss
 	if db.traceArmed() {
 		db.fire(TraceEvent{Phase: TraceParse, Query: sql, Kind: scriptKind(stmts), D: time.Since(start), When: time.Now()})
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/bat"
 )
 
 // walkthroughDB builds the paper-walkthrough schema the §3–§5 suite
@@ -529,7 +531,7 @@ func TestValuesBufferIsReused(t *testing.T) {
 	}{
 		{batchQuery, false}, // kernel pipeline: typed column batches
 		{`SELECT x, v, w FROM wide WHERE w < (SELECT 6)`, false},              // materialized fallback
-		{`SELECT x, CASE WHEN w > 3 THEN 'hi' ELSE 'lo' END FROM wide`, true}, // interpreter: boxed rows
+		{`SELECT x, CASE WHEN w > 3 THEN 'hi' ELSE 'lo' END FROM wide`, true}, // interpreter: boxed columns
 	} {
 		q := tc.q
 		rows, err := db.QueryContext(context.Background(), q)
@@ -542,7 +544,8 @@ func TestValuesBufferIsReused(t *testing.T) {
 		if !rows.Next() {
 			t.Fatal(rows.Err())
 		}
-		if boxed := rows.b.Vecs == nil; boxed != tc.boxed {
+		_, boxed := rows.b.Vecs[0].(*bat.AnyVector)
+		if boxed != tc.boxed {
 			t.Fatalf("%s: boxed batch = %v, want %v", q, boxed, tc.boxed)
 		}
 		held := rows.Values()
